@@ -226,50 +226,6 @@ BENCHMARK(BM_WalkKernelSweepCachedLayout)
     ->Arg(1 << 19)
     ->Unit(benchmark::kMillisecond);
 
-// Fused multi-query sweep: Args = (nodes, fused width K). One iteration
-// compiles K absorbing lanes onto a shared cached plan and runs one
-// τ = 15 batch sweep — K queries served by ONE CSR pass per iteration
-// instead of K. items_processed counts edges × τ × K, so items/sec is
-// directly the aggregate query throughput; divide wall time by K for the
-// per-query cost and compare against width 1 for the amortization curve
-// (flat per-pass time until the K-strided value block outgrows cache).
-void BM_WalkKernelFusedSweep(benchmark::State& state) {
-  const BipartiteGraph g =
-      bench::MakeSyntheticWalkGraph(static_cast<int32_t>(state.range(0)));
-  const int32_t width = static_cast<int32_t>(state.range(1));
-  // Distinct absorbing sets per lane (each lane absorbs the neighbourhood
-  // of a different hub) — the serving engine's shape: one subgraph, many
-  // users, different rated-item lanes.
-  std::vector<std::vector<bool>> absorbing(width);
-  for (int32_t q = 0; q < width; ++q) {
-    absorbing[q].assign(g.num_nodes(), false);
-    for (NodeId nbr : g.Neighbors(q % g.num_nodes())) {
-      absorbing[q][nbr] = true;
-    }
-  }
-  const std::vector<double> costs(g.num_nodes(), 1.0);
-  const std::shared_ptr<const WalkPlan> plan = [&] {
-    auto p = std::make_shared<WalkPlan>();
-    p->Build(g, WalkNormalization::kRowStochastic,
-             BuildWalkLayoutIfBeneficial(g));
-    return p;
-  }();
-  std::vector<double> block;
-  WalkKernel kernel;
-  constexpr int kTau = 15;
-  for (auto _ : state) {
-    kernel.AdoptPlan(plan);
-    kernel.CompileAbsorbingSweepBatch(absorbing, costs);
-    kernel.SweepTruncatedItemValuesBatch(kTau, &block);
-    benchmark::DoNotOptimize(block.data());
-  }
-  state.SetLabel(kernel.sweep_strategy());
-  state.SetItemsProcessed(state.iterations() * kTau * g.num_edges() * width);
-}
-BENCHMARK(BM_WalkKernelFusedSweep)
-    ->ArgsProduct({{1 << 14, 1 << 17, 1 << 19}, {1, 2, 4, 8, 16}})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_ItemEntropy(benchmark::State& state) {
   for (auto _ : state) {
     auto e = ItemBasedUserEntropy(Corpus().dataset);

@@ -151,17 +151,6 @@ struct KernelTimings {
   double full_vs_reference_speedup = 0.0;
   /// Reference vs the cached-layout ranking path.
   double cached_speedup = 0.0;
-  /// Fused multi-query ladder on the cached plan: per-query cost of
-  /// sweeping K interleaved lanes through one CSR pass per iteration,
-  /// versus K sequential width-1 sweeps. speedup_vs_width1 > 1 means the
-  /// stream amortized; it grows with width until the K-strided value
-  /// block outgrows the cache the single-query vector fit in.
-  struct FusedRung {
-    int32_t width = 0;
-    double per_query_ns_per_iteration = 0.0;
-    double speedup_vs_width1 = 0.0;
-  };
-  std::vector<FusedRung> fused;
 };
 
 /// Deepest cache level one value vector of `bytes` fits in.
@@ -300,49 +289,6 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
   row.full_vs_reference_speedup = median_speedup(full_t);
   row.cached_speedup = median_speedup(cache_t);
 
-  // Fused multi-query ladder, all on the cached plan (the serving warm
-  // path, where fusion actually engages). Widths interleave round-robin
-  // like the configurations above so per-round ratios cancel slow VM
-  // phases; reps scale down with width to keep windows comparable. Width
-  // 16 is measured even where the runtime cap would stop at 8 — the
-  // ladder is how the cap rule is validated empirically.
-  {
-    const int32_t widths[] = {1, 2, 4, 8, 16};
-    constexpr int kFusedRounds = 3;
-    std::vector<std::vector<bool>> lanes;
-    std::vector<double> block;
-    // per-query seconds per (rep · iteration), [width][round]
-    double perq[5][kFusedRounds];
-    for (int round = 0; round < kFusedRounds; ++round) {
-      for (int wi = 0; wi < 5; ++wi) {
-        const int32_t width = widths[wi];
-        lanes.assign(width, absorbing);
-        const int wreps = std::max(1, reps / width);
-        WallTimer t;
-        for (int r = 0; r < wreps; ++r) {
-          cached_kernel.AdoptPlan(cached_plan);
-          cached_kernel.CompileAbsorbingSweepBatch(lanes, costs);
-          cached_kernel.SweepTruncatedItemValuesBatch(tau, &block);
-        }
-        perq[wi][round] =
-            t.ElapsedSeconds() / (static_cast<double>(wreps) * tau * width);
-      }
-    }
-    for (int wi = 0; wi < 5; ++wi) {
-      KernelTimings::FusedRung rung;
-      rung.width = widths[wi];
-      rung.per_query_ns_per_iteration =
-          1e9 * *std::min_element(perq[wi], perq[wi] + kFusedRounds);
-      std::vector<double> ratios(kFusedRounds);
-      for (int round = 0; round < kFusedRounds; ++round) {
-        ratios[round] =
-            perq[wi][round] > 0.0 ? perq[0][round] / perq[wi][round] : 0.0;
-      }
-      std::sort(ratios.begin(), ratios.end());
-      rung.speedup_vs_width1 = ratios[kFusedRounds / 2];
-      row.fused.push_back(rung);
-    }
-  }
   std::printf(
       "%12s %8d %10lld %4s %18s %11.0f %11.0f %11.0f %11.0f %7.2fx %7.2fx "
       "%7.2fx\n",
@@ -351,12 +297,6 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
       row.kernel_full_ns_per_iteration, row.kernel_ranking_ns_per_iteration,
       row.kernel_cached_ns_per_iteration, row.full_vs_reference_speedup,
       row.speedup, row.cached_speedup);
-  std::printf("%12s   fused per-query ns/it:", "");
-  for (const KernelTimings::FusedRung& rung : row.fused) {
-    std::printf("  w%-2d %9.0f (%4.2fx)", rung.width,
-                rung.per_query_ns_per_iteration, rung.speedup_vs_width1);
-  }
-  std::printf("\n");
   return row;
 }
 
@@ -515,23 +455,15 @@ void WriteKernelJsonSection(std::FILE* f,
         "\"reference_rows_per_second\": %.0f, "
         "\"kernel_rows_per_second\": %.0f, "
         "\"full_vs_reference_speedup\": %.2f, \"speedup\": %.2f, "
-        "\"cached_speedup\": %.2f, \"fused\": [",
+        "\"cached_speedup\": %.2f}%s\n",
         r.name.c_str(), r.nodes, static_cast<long long>(r.edges),
         r.iterations, r.value_bytes, r.cache_level, r.layout_strategy,
         r.reordered ? "true" : "false", r.row_tile, r.cached_strategy,
         r.reference_ns_per_iteration, r.kernel_full_ns_per_iteration,
         r.kernel_ranking_ns_per_iteration, r.kernel_cached_ns_per_iteration,
         r.reference_rows_per_second, r.kernel_rows_per_second,
-        r.full_vs_reference_speedup, r.speedup, r.cached_speedup);
-    for (size_t j = 0; j < r.fused.size(); ++j) {
-      const KernelTimings::FusedRung& rung = r.fused[j];
-      std::fprintf(f,
-                   "{\"width\": %d, \"per_query_ns_per_iteration\": %.1f, "
-                   "\"speedup_vs_width1\": %.2f}%s",
-                   rung.width, rung.per_query_ns_per_iteration,
-                   rung.speedup_vs_width1, j + 1 < r.fused.size() ? ", " : "");
-    }
-    std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");
+        r.full_vs_reference_speedup, r.speedup, r.cached_speedup,
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }%s\n", trailing_comma ? "," : "");
 }

@@ -23,15 +23,7 @@ Usage:
           (12·edges + 16·nodes > l2_bytes), where both loops are
           bandwidth-bound streaming the same bytes — the true ratio is
           ~1.0 (see docs/KERNELS.md) and the measured one swings 0.9-1.1
-          with host phase on shared runners. The bandwidth regime is gated
-          by the fused width-8 floor below instead, which is what actually
-          buys throughput there.
-        * every "kernel" sweep row whose value vector does NOT fit L2
-          (cache_level L3/RAM — the bandwidth-bound regime fusion exists
-          for) must show a width-8 fused per-query speedup of at least
-          --min-fused-w8 over width 1. In-cache rows are reported but not
-          gated: there the single-query sweep is already compute-bound
-          and fusion's benefit is incidental.
+          with host phase on shared runners.
         * every "serving" algorithm row's steady_vs_cold_speedup (warm
           cache-served pass vs the cold pass of the same run) is
           >= --min-serving-warm, gated only where the cold pass
@@ -70,11 +62,6 @@ KERNEL_SWEEP_RATES = (
     "cached_speedup",
 )
 ALGORITHM_RATES = ("batch_users_per_second",)
-# Fused-ladder fields diffed per width inside each kernel sweep row.
-# Informational only: the ladder's shape is cache-geometry dependent, so
-# cross-machine drift is a prompt to look, while the machine-normalized
-# width-8 floor below is the actual gate.
-FUSED_RUNG_FIELDS = ("per_query_ns_per_iteration", "speedup_vs_width1")
 SERVING_RATES = ("steady_users_per_second", "steady_vs_cold_speedup")
 ENGINE_RATES = ("users_per_second",)
 
@@ -98,18 +85,6 @@ def rows_by_name(obj, *path):
     if not isinstance(node, list):
         return {}
     return {row["name"]: row for row in node if isinstance(row, dict) and "name" in row}
-
-
-def fused_rungs(row):
-    """Returns {width: rung} for a kernel sweep row's fused ladder, or {}."""
-    ladder = row.get("fused")
-    if not isinstance(ladder, list):
-        return {}
-    return {
-        rung["width"]: rung
-        for rung in ladder
-        if isinstance(rung, dict) and isinstance(rung.get("width"), int)
-    }
 
 
 def metric(row, name):
@@ -153,26 +128,6 @@ def compare(baseline, candidate, max_regression):
                     f" {marker} {section}/{name}.{rate}: "
                     f"{base:.4g} -> {cand:.4g} ({-regression:+.1%})"
                 )
-            if section == "kernel":
-                base_fused = fused_rungs(base_rows[name])
-                cand_fused = fused_rungs(cand_rows[name])
-                for width in sorted(base_fused.keys() | cand_fused.keys()):
-                    if width not in base_fused or width not in cand_fused:
-                        side = ("baseline" if width in base_fused
-                                else "candidate")
-                        print(f"  [info] {section}/{name}.fused.w{width}: "
-                              f"only in {side}")
-                        continue
-                    for field in FUSED_RUNG_FIELDS:
-                        base = metric(base_fused[width], field)
-                        cand = metric(cand_fused[width], field)
-                        if base is None or cand is None or base <= 0.0:
-                            continue
-                        delta = (cand - base) / base
-                        print(
-                            f"   {section}/{name}.fused.w{width}.{field}: "
-                            f"{base:.4g} -> {cand:.4g} ({delta:+.1%}) [info]"
-                        )
     return failures
 
 
@@ -232,7 +187,7 @@ def compare_load(baseline, candidate):
 
 
 def assert_invariants(candidate, min_full_speedup, min_ref_ns,
-                      min_serving_warm, min_fused_w8):
+                      min_serving_warm):
     failures = []
     sweeps = rows_by_name(candidate, "kernel", "sweeps")
     if not sweeps:
@@ -256,8 +211,7 @@ def assert_invariants(candidate, min_full_speedup, min_ref_ns,
                 and 12 * edges + 16 * nodes > l2_bytes):
             print(
                 f"   kernel/{name}: full_vs_reference_speedup {speedup:.2f} "
-                f"[not gated: edge stream exceeds L2 — bandwidth-bound, "
-                f"see fused w8 floor]"
+                f"[not gated: edge stream exceeds L2 — bandwidth-bound]"
             )
             continue
         ok = speedup >= min_full_speedup
@@ -268,35 +222,6 @@ def assert_invariants(candidate, min_full_speedup, min_ref_ns,
         )
         if not ok:
             failures.append(("kernel", name, "full_vs_reference_speedup"))
-    # Fused width-8 floor: past-L2 rows must show the CSR stream actually
-    # amortizing across lanes. The ratio is machine-normalized (both widths
-    # measured in the same run, rung sizes derived from the measured cache
-    # geometry), so it gates on any runner.
-    for name, row in sorted(sweeps.items()):
-        rung = fused_rungs(row).get(8)
-        past_l2 = row.get("cache_level") in ("L3", "RAM")
-        if rung is None:
-            if past_l2:
-                print(f"  [warn] kernel/{name}: past-L2 row has no fused "
-                      f"width-8 rung")
-            continue
-        ratio = metric(rung, "speedup_vs_width1")
-        if ratio is None:
-            print(f"  [warn] kernel/{name}: fused width-8 rung has no "
-                  f"speedup_vs_width1")
-            continue
-        if not past_l2:
-            print(f"   kernel/{name}: fused w8 speedup_vs_width1 "
-                  f"{ratio:.2f} [not gated: value vector fits "
-                  f"{row.get('cache_level', '?')}]")
-            continue
-        ok = ratio >= min_fused_w8
-        print(
-            f" {' ' if ok else '!'} kernel/{name}: fused w8 "
-            f"speedup_vs_width1 {ratio:.2f} (floor {min_fused_w8:.2f})"
-        )
-        if not ok:
-            failures.append(("kernel", name, "fused.w8.speedup_vs_width1"))
     serving = rows_by_name(candidate, "serving", "algorithms")
     if not serving:
         print("  [info] no serving rows (kernel-only run?); "
@@ -345,8 +270,6 @@ def main():
                         help="--assert-only: floor for every sweep row's full_vs_reference_speedup (default 0.98)")
     parser.add_argument("--min-ref-ns", type=float, default=1000.0,
                         help="--assert-only: skip gating rows whose reference loop is faster than this per iteration (default 1000 ns)")
-    parser.add_argument("--min-fused-w8", type=float, default=1.3,
-                        help="--assert-only: floor for the fused ladder's width-8 speedup_vs_width1 on kernel rows whose value vector does not fit L2 (measured ~2.5x on the seed machine; in-cache rows are reported but not gated) (default 1.3)")
     parser.add_argument("--min-serving-warm", type=float, default=1.2,
                         help="--assert-only: floor for steady_vs_cold_speedup on serving rows whose cold pass genuinely extracted (cold_hit_rate < 0.5); already-warm cold passes are reported but not gated (default 1.2)")
     args = parser.parse_args()
@@ -359,8 +282,7 @@ def main():
         print(f"asserting invariants of {args.files[0]}")
         failures = assert_invariants(candidate, args.min_full_speedup,
                                      args.min_ref_ns,
-                                     args.min_serving_warm,
-                                     args.min_fused_w8)
+                                     args.min_serving_warm)
     elif args.load:
         if len(args.files) != 2:
             parser.error("--load expects BASELINE.json CANDIDATE.json")

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "data/serialization.h"
 #include "graph/subgraph_cache.h"
@@ -289,174 +288,57 @@ void GraphRecommenderBase::ServeFromWalk(const UserQuery& query,
   }
 }
 
-UserQueryResult GraphRecommenderBase::RunQuery(const UserQuery& query,
-                                               WalkWorkspace* ws,
-                                               SubgraphCache* cache) const {
-  UserQueryResult out;
-  // An empty query requests nothing: skip the walk entirely and return OK,
-  // matching the default Recommender::QueryBatch (which never invokes the
-  // per-user virtuals for it).
-  if (query.top_k <= 0 && query.score_items.empty()) return out;
-  out.status = ComputeWalk(query.user, ws, cache);
-  if (!out.status.ok()) return out;
-  ServeFromWalk(query, *ws, &out);
-  return out;
-}
-
-void GraphRecommenderBase::RunFusedGroup(std::span<const UserQuery> queries,
-                                         const size_t* members, int32_t count,
-                                         const BatchOptions& options,
-                                         WalkWorkspace* ws,
-                                         UserQueryResult* results) const {
-  // Resolve the shared subgraph once from the first member's seeds: all
-  // members carry the same exact seed set, and extraction is a pure
-  // function of (graph, seeds, µ), so every member's sequential RunQuery
-  // would have produced this same subgraph (and, through the cache, the
-  // same payload).
-  ws->seeds.clear();
-  const Status st = SeedNodes(queries[members[0]].user, &ws->seeds);
-  if (!st.ok() || ws->seeds.empty()) {
-    // Unreachable: phase A validated every member; fail them all rather
-    // than serve garbage if a SeedNodes override is non-deterministic.
-    for (int32_t q = 0; q < count; ++q) {
-      results[members[q]].status =
-          st.ok() ? Status::FailedPrecondition("seed set vanished") : st;
-    }
-    return;
-  }
-  SubgraphOptions sub_options;
-  sub_options.max_items = options_.max_subgraph_items;
-  if (options.subgraph_cache != nullptr) {
-    options.subgraph_cache->GetOrExtract(graph_, ws->seeds, sub_options, ws);
-  } else {
-    ExtractSubgraphInto(graph_, ws->seeds, sub_options, ws);
-  }
-  const Subgraph& sub = ws->sub();
-  NodeCosts(sub, &ws->node_costs);
-  if (sub.plan != nullptr) {
-    ws->kernel.AdoptPlan(sub.plan);
-  } else {
-    ws->kernel.BuildTransitions(
-        sub.graph, WalkKernel::Normalization::kRowStochastic, sub.layout);
-  }
-  const int32_t n = sub.graph.num_nodes();
-  int32_t cap = WalkKernel::FusedWidthCap(n);
-  if (options.max_fused_width > 0) {
-    cap = std::min(cap, options.max_fused_width);
-  }
-  for (int32_t begin = 0; begin < count; begin += cap) {
-    const int32_t width = std::min(cap, count - begin);
-    if (options.fused_width_observer != nullptr) {
-      (*options.fused_width_observer)(width);
-    }
-    if (width == 1) {
-      // A lone lane runs the sequential sweep — same result (a width-1
-      // batch is the sequential pass), no strided block to de-interleave.
-      const UserQuery& query = queries[members[begin]];
-      AbsorbingFlags(sub, query.user, &ws->absorbing);
-      ws->kernel.CompileAbsorbingSweep(ws->absorbing, ws->node_costs);
-      ws->kernel.SweepTruncatedItemValues(options_.iterations, &ws->values);
-      ServeFromWalk(query, *ws, &results[members[begin]]);
-      continue;
-    }
-    ws->batch_absorbing.resize(width);
-    for (int32_t q = 0; q < width; ++q) {
-      AbsorbingFlags(sub, queries[members[begin + q]].user,
-                     &ws->batch_absorbing[q]);
-    }
-    ws->kernel.CompileAbsorbingSweepBatch(ws->batch_absorbing,
-                                          ws->node_costs);
-    ws->kernel.SweepTruncatedItemValuesBatch(options_.iterations,
-                                             &ws->values_block);
-    const double* block = ws->values_block.data();
-    for (int32_t q = 0; q < width; ++q) {
-      // De-interleave lane q into the workspace value vector TopKFromWalk /
-      // ScoresFromWalk read — an exact copy, so serving is untouched by
-      // fusion.
-      ws->values.resize(n);
-      for (int32_t v = 0; v < n; ++v) {
-        ws->values[v] = block[static_cast<size_t>(v) * width + q];
-      }
-      ServeFromWalk(queries[members[begin + q]], *ws,
-                    &results[members[begin + q]]);
-    }
-  }
-}
-
 std::vector<UserQueryResult> GraphRecommenderBase::QueryBatch(
     std::span<const UserQuery> queries, const BatchOptions& options) const {
   std::vector<UserQueryResult> results(queries.size());
-  if (queries.empty()) return results;
+  // Every built-in walker seeds from the query user's own node, so two
+  // queries walk identically exactly when they name the same user. Group
+  // the non-empty queries by user (a stable sort of their indices keeps
+  // each user's members in batch order); an empty query requests nothing
+  // and keeps its default OK result without a walk, matching the default
+  // Recommender::QueryBatch.
+  std::vector<size_t> order;
+  order.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].top_k > 0 || !queries[i].score_items.empty()) {
+      order.push_back(i);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return queries[a].user < queries[b].user;
+  });
+  // group_begin[g] .. group_begin[g + 1] spans user g's members in `order`.
+  std::vector<size_t> group_begin;
+  for (size_t j = 0; j < order.size(); ++j) {
+    if (j == 0 || queries[order[j]].user != queries[order[j - 1]].user) {
+      group_begin.push_back(j);
+    }
+  }
+  group_begin.push_back(order.size());
   ServingPool& pool =
       options.pool != nullptr ? *options.pool : ServingPool::Global();
-  if (options_.exact || options.max_fused_width == 1) {
-    // The exact solver has no fused path, and width 1 disables grouping:
-    // dispatch per query, claimed one at a time (grain 1) so skewed
-    // subgraph sizes stay balanced, each thread on its pinned workspace.
-    pool.ParallelFor(
-        queries.size(),
-        [&](size_t i) {
-          results[i] =
-              RunQuery(queries[i], &LocalWorkspace(), options.subgraph_cache);
-        },
-        options.num_threads, /*grain=*/1);
-    return results;
-  }
-  // Phase A (sequential, O(Σ seed set) — cheap next to the walks): compute
-  // every query's seed set and group queries whose sets are identical.
-  // Validation failures resolve here with statuses identical to the
-  // per-query path's; empty queries keep their default OK result.
-  std::map<std::vector<NodeId>, std::vector<size_t>> by_seeds;
-  {
-    std::vector<NodeId> seeds;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const UserQuery& q = queries[i];
-      if (q.top_k <= 0 && q.score_items.empty()) continue;
-      Status st = CheckQueryUser(data_, q.user);
-      if (st.ok()) {
-        seeds.clear();
-        st = SeedNodes(q.user, &seeds);
-        if (st.ok() && seeds.empty()) {
-          st = Status::FailedPrecondition(
-              "no seed nodes for user " + std::to_string(q.user) +
-              " (cold-start users cannot be served by graph recommenders)");
-        }
-      }
-      if (!st.ok()) {
-        results[i].status = std::move(st);
-        continue;
-      }
-      by_seeds[seeds].push_back(i);
-    }
-  }
-  // Phase B: flatten the groups into dispatch slices of at most the width
-  // ceiling, so one giant group (every warm query hitting one hot user's
-  // subgraph) still spreads across pool workers; RunFusedGroup re-chunks a
-  // slice further if the probed per-subgraph cap is smaller.
-  const int32_t slice_cap =
-      options.max_fused_width > 0
-          ? std::min<int32_t>(options.max_fused_width,
-                              WalkKernel::kMaxFusedWidth)
-          : 16;
-  struct Slice {
-    const std::vector<size_t>* members;
-    int32_t begin;
-    int32_t count;
-  };
-  std::vector<Slice> slices;
-  for (const auto& entry : by_seeds) {
-    const std::vector<size_t>& members = entry.second;
-    const int32_t total = static_cast<int32_t>(members.size());
-    for (int32_t b = 0; b < total; b += slice_cap) {
-      slices.push_back({&members, b, std::min(slice_cap, total - b)});
-    }
-  }
+  // One task per distinct user, claimed one at a time (grain 1) so skewed
+  // subgraph sizes stay balanced, each on its thread's pinned workspace:
+  // the user's walk runs once and serves every member, which is
+  // bit-identical to each member's own sequential call.
   pool.ParallelFor(
-      slices.size(),
-      [&](size_t si) {
-        const Slice& s = slices[si];
-        RunFusedGroup(queries, s.members->data() + s.begin, s.count, options,
-                      &LocalWorkspace(), results.data());
+      group_begin.size() - 1,
+      [&](size_t g) {
+        const size_t* members = order.data() + group_begin[g];
+        const size_t count = group_begin[g + 1] - group_begin[g];
+        WalkWorkspace& ws = LocalWorkspace();
+        const Status st = ComputeWalk(queries[members[0]].user, &ws,
+                                      options.subgraph_cache);
+        if (!st.ok()) {
+          for (size_t m = 0; m < count; ++m) results[members[m]].status = st;
+          return;
+        }
+        if (options.fused_width_observer != nullptr) {
+          (*options.fused_width_observer)(static_cast<int32_t>(count));
+        }
+        for (size_t m = 0; m < count; ++m) {
+          ServeFromWalk(queries[members[m]], ws, &results[members[m]]);
+        }
       },
       options.num_threads, /*grain=*/1);
   return results;

@@ -9,11 +9,12 @@
 // All query state lives in a WalkWorkspace, so the per-query walk performs
 // no global-sized heap allocation in the steady state. Every thread —
 // single-user callers and serving-pool workers alike — pins one
-// thread-local workspace; QueryBatch fans queries out over the
-// process-lifetime ServingPool (no per-batch thread spawn, workspaces stay
-// warm across batches), serves the top-k and candidate-scoring halves of a
-// query from a single walk, and can reuse extracted subgraphs through a
-// shared SubgraphCache (BatchOptions::subgraph_cache).
+// thread-local workspace; QueryBatch runs one walk per distinct user in the
+// batch, fans those walks out over the process-lifetime ServingPool (no
+// per-batch thread spawn, workspaces stay warm across batches), serves the
+// top-k and candidate-scoring halves of every query for that user from the
+// single walk, and can reuse extracted subgraphs through a shared
+// SubgraphCache (BatchOptions::subgraph_cache).
 #ifndef LONGTAIL_CORE_GRAPH_RECOMMENDER_BASE_H_
 #define LONGTAIL_CORE_GRAPH_RECOMMENDER_BASE_H_
 
@@ -66,16 +67,14 @@ class GraphRecommenderBase : public Recommender {
   Result<std::vector<double>> ScoreItems(
       UserId user, std::span<const ItemId> items) const override;
 
-  /// Batch engine: queries whose seed sets are identical — equivalently,
-  /// whose subgraph-cache fingerprints collide, since extraction is a pure
-  /// function of (graph, seeds, µ) — are grouped and served by ONE fused
-  /// multi-query sweep: the shared subgraph is resolved once, each query
-  /// compiles its own absorbing lane, and a single CSR pass per truncated
-  /// iteration advances all lanes (SpMV → SpMM; see docs/KERNELS.md).
-  /// Groups and singletons fan out on the long-lived ServingPool with one
-  /// pinned WalkWorkspace per worker thread. Results are bit-identical to
-  /// the sequential per-user calls at any thread count, any fused width,
-  /// with or without a subgraph cache.
+  /// Batch engine: groups the batch's non-empty queries by user and runs
+  /// ONE walk per distinct user — every walker seeds from the user's own
+  /// node, so duplicates of a user would walk identically — serving each
+  /// member (its own top_k and score list) from that walk. Distinct users
+  /// fan out on the long-lived ServingPool with one pinned WalkWorkspace
+  /// per worker thread. A failed walk fails every member with the same
+  /// status. Results are bit-identical to the sequential per-user calls at
+  /// any thread count, with or without a subgraph cache.
   std::vector<UserQueryResult> QueryBatch(
       std::span<const UserQuery> queries,
       const BatchOptions& options = {}) const override;
@@ -149,23 +148,10 @@ class GraphRecommenderBase : public Recommender {
   /// unreachable, which is correct for both.
   Status ComputeWalk(UserId user, WalkWorkspace* ws,
                      SubgraphCache* cache) const;
-  /// Serves one batched query from a single walk.
-  UserQueryResult RunQuery(const UserQuery& query, WalkWorkspace* ws,
-                           SubgraphCache* cache) const;
   /// Serves the top-k and scoring halves of `query` from the walk values
-  /// already in `ws` (shared by RunQuery and the fused group path).
+  /// already in `ws` (every member of a QueryBatch user group).
   void ServeFromWalk(const UserQuery& query, const WalkWorkspace& ws,
                      UserQueryResult* out) const;
-  /// Serves `count` queries (indices `members[0..count)`) that share one
-  /// exact seed set: resolves the subgraph once, then sweeps the queries
-  /// as fused lanes in chunks of at most the probed width cap. Results are
-  /// bit-identical to per-query RunQuery. Callers guarantee every member
-  /// passed phase-A validation (fitted model, non-empty seeds, non-empty
-  /// query).
-  void RunFusedGroup(std::span<const UserQuery> queries,
-                     const size_t* members, int32_t count,
-                     const BatchOptions& options, WalkWorkspace* ws,
-                     UserQueryResult* results) const;
   Result<std::vector<ScoredItem>> TopKFromWalk(UserId user, int k,
                                                const WalkWorkspace& ws) const;
   Result<std::vector<double>> ScoresFromWalk(std::span<const ItemId> items,

@@ -68,20 +68,12 @@ struct BatchOptions {
   /// (tests/subgraph_cache_test.cc). Other recommenders ignore it. The
   /// cache may be shared across recommenders and concurrent batches.
   SubgraphCache* subgraph_cache = nullptr;
-  /// Fused multi-query sweep width ceiling for graph recommenders: queries
-  /// whose seed sets are identical share one subgraph and sweep as K
-  /// interleaved lanes of a single CSR pass (see docs/KERNELS.md). 0 =
-  /// probe the cap from the machine's cache geometry
-  /// (WalkKernel::FusedWidthCap), 1 = disable grouping entirely (the
-  /// pre-fusion per-query dispatch), otherwise an explicit ceiling.
-  /// Results are bit-identical at every setting; other recommenders
-  /// ignore it.
-  int32_t max_fused_width = 0;
-  /// Optional observer invoked once per dispatched fused sweep with its
-  /// width (1 for queries that found no partner). May be called
-  /// concurrently from pool workers; the ServingEngine points this at its
-  /// longtail_engine_fused_width histogram. Not called on the
-  /// max_fused_width == 1 fallback path or by non-graph recommenders.
+  /// Optional observer invoked once per walk a graph recommender runs,
+  /// with the number of queries that walk served (duplicates of one user
+  /// in a batch share a walk; failed walks are not observed). May be
+  /// called concurrently from pool workers; the ServingEngine points this
+  /// at its longtail_engine_fused_width histogram. Not called by
+  /// non-graph recommenders.
   const std::function<void(int32_t width)>* fused_width_observer = nullptr;
 };
 
@@ -146,8 +138,8 @@ class Recommender {
   /// Serves a batch of queries; results align with `queries`. The default
   /// loops over the per-user virtuals (parallelised across the batch when
   /// `options.num_threads != 1`, which the thread-safe-query contract
-  /// permits). GraphRecommenderBase overrides this with a fused walk per
-  /// query and per-worker reusable workspaces.
+  /// permits). GraphRecommenderBase overrides this with one walk per
+  /// distinct user and per-worker reusable workspaces.
   virtual std::vector<UserQueryResult> QueryBatch(
       std::span<const UserQuery> queries,
       const BatchOptions& options = {}) const;

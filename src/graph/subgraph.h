@@ -218,11 +218,6 @@ class WalkWorkspace {
   std::vector<double> node_costs;
   std::vector<double> values;
   std::vector<double> dp_scratch;
-  /// Fused multi-query scratch: one absorbing vector per fused lane, and
-  /// the K-strided value block SweepTruncatedItemValuesBatch fills (lane q
-  /// of node v at values_block[v·K + q]).
-  std::vector<std::vector<bool>> batch_absorbing;
-  std::vector<double> values_block;
   SolverScratch solver;
   /// The walk kernel serving this workspace's truncated sweeps: per-query
   /// compile/value scratch plus a plan binding — its own rebuilt plan on

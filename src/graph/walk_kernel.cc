@@ -1,7 +1,6 @@
 #include "graph/walk_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
@@ -62,38 +61,13 @@ int32_t RowTileForL1() {
   return static_cast<int32_t>(std::clamp<size_t>(tile, 256, 16384));
 }
 
-static_assert(WalkKernel::kMaxFusedWidth == internal::kMaxFusedWidth,
-              "public cap must match the ISA tables' stack scratch");
-
-// Process-global fused-sweep counters (relaxed: monotonic telemetry only).
-std::atomic<uint64_t> g_fused_sweeps{0};
-std::atomic<uint64_t> g_fused_lanes{0};
-
 }  // namespace
-
-WalkKernelFusedStats GetWalkKernelFusedStats() {
-  WalkKernelFusedStats s;
-  s.sweeps = g_fused_sweeps.load(std::memory_order_relaxed);
-  s.lanes = g_fused_lanes.load(std::memory_order_relaxed);
-  return s;
-}
 
 size_t WalkKernel::SimplePlanMaxValueBytes() {
   return ProbeCacheGeometry().l2_bytes;
 }
 
 int32_t WalkKernel::BlockedPlanRowTile() { return RowTileForL1(); }
-
-int32_t WalkKernel::FusedWidthCap(int32_t num_nodes) {
-  // 16 lanes while the whole 16-wide value block is L2-resident (fusing
-  // wider costs nothing when nothing is evicted); past that, 8 lanes —
-  // one full 64-byte line per gathered node, where the bandwidth
-  // amortization saturates (see docs/KERNELS.md and the bench ladder).
-  const size_t block16 =
-      static_cast<size_t>(std::max(num_nodes, 0)) * 16 * sizeof(double);
-  const int32_t cap = block16 <= ProbeCacheGeometry().l2_bytes ? 16 : 8;
-  return std::min<int32_t>(cap, kMaxFusedWidth);
-}
 
 WalkKernel::WalkKernel() : isa_(internal::ActiveWalkKernelIsa()) {}
 
@@ -336,54 +310,6 @@ void WalkKernel::CompileAbsorbingSweep(const std::vector<bool>& absorbing,
   }
 }
 
-void WalkKernel::CompileAbsorbingSweepBatch(
-    const std::vector<std::vector<bool>>& absorbing,
-    const std::vector<double>& node_cost) {
-  LT_CHECK(plan_ != nullptr) << "BuildTransitions/AdoptPlan must run first";
-  const WalkPlan& p = *plan_;
-  LT_CHECK(p.norm_ == Normalization::kRowStochastic)
-      << "absorbing sweeps need row-stochastic transitions";
-  const int32_t width = static_cast<int32_t>(absorbing.size());
-  LT_CHECK(width >= 1 && width <= kMaxFusedWidth)
-      << "fused width " << width << " out of [1, " << kMaxFusedWidth << "]";
-  const int32_t n = p.num_nodes_;
-  LT_CHECK_EQ(static_cast<size_t>(n), node_cost.size());
-  for (const auto& lane : absorbing) {
-    LT_CHECK_EQ(static_cast<size_t>(n), lane.size());
-  }
-  batch_width_ = width;
-  const size_t block = static_cast<size_t>(n) * width;
-  badd_.resize(block);
-  bscale_.resize(block);
-  bself_.resize(block);
-  const BipartiteGraph& g = *p.graph_;
-  const int32_t* perm = p.perm_;
-  // Same compile as CompileAbsorbingSweep, lane-strided: lane q of
-  // sweep-space row gets exactly the coefficients a sequential compile of
-  // query q would give that row.
-  for (int32_t v = 0; v < n; ++v) {
-    const int32_t row = perm != nullptr ? perm[v] : v;
-    const int64_t base = static_cast<int64_t>(row) * width;
-    const bool isolated = g.WeightedDegree(v) <= 0.0;
-    const double cost = node_cost[v];
-    for (int32_t q = 0; q < width; ++q) {
-      if (absorbing[q][v]) {
-        badd_[base + q] = 0.0;
-        bscale_[base + q] = 0.0;
-        bself_[base + q] = 0.0;
-      } else if (isolated) {
-        badd_[base + q] = cost;
-        bscale_[base + q] = 0.0;
-        bself_[base + q] = 1.0;
-      } else {
-        badd_[base + q] = cost;
-        bscale_[base + q] = 1.0;
-        bself_[base + q] = 0.0;
-      }
-    }
-  }
-}
-
 void WalkKernel::PrefetchRows(int32_t lo, int32_t hi) const {
 #if defined(__GNUC__) || defined(__clang__)
   // Warm the next tile's column-index and value strips while the current
@@ -461,67 +387,6 @@ void WalkKernel::RunFusedRange(int32_t lo, int32_t hi, double* x) const {
     } else {
       isa_->absorbing_rows_fused(b, b_end, p.ptr_, p.col_, p.prob_data_, add,
                                  scale, self, x);
-    }
-  }
-}
-
-void WalkKernel::RunAbsorbingRangeBatch(int32_t lo, int32_t hi,
-                                        const double* cur, double* nxt) const {
-  const WalkPlan& p = *plan_;
-  const int32_t width = batch_width_;
-  const double* add = badd_.data();
-  const double* scale = bscale_.data();
-  const double* self = bself_.data();
-  if (p.row_tile_ <= 0) {
-    isa_->absorbing_rows_norm_batch(lo, hi, p.ptr_, p.col_, p.w_, p.wdeg_,
-                                    add, scale, self, cur, nxt, width);
-    return;
-  }
-  // Each row now streams width lanes of values + coefficients; shrink the
-  // tile so the dense streams still fit the L1 budget (pure performance
-  // knob — tiling never changes the per-row results).
-  const int32_t tile = std::max<int32_t>(256, p.row_tile_ / width);
-  for (int32_t b = lo; b < hi; b += tile) {
-    const int32_t b_end = b + tile < hi ? b + tile : hi;
-    if (b_end < hi) {
-      PrefetchRows(b_end, b_end + tile < hi ? b_end + tile : hi);
-    }
-    if (p.norm_fly_) {
-      isa_->absorbing_rows_norm_batch(b, b_end, p.ptr_, p.col_, p.w_,
-                                      p.wdeg_, add, scale, self, cur, nxt,
-                                      width);
-    } else {
-      isa_->absorbing_rows_batch(b, b_end, p.ptr_, p.col_, p.prob_data_, add,
-                                 scale, self, cur, nxt, width);
-    }
-  }
-}
-
-void WalkKernel::RunFusedRangeBatch(int32_t lo, int32_t hi, double* x) const {
-  const WalkPlan& p = *plan_;
-  const int32_t width = batch_width_;
-  const double* add = badd_.data();
-  const double* scale = bscale_.data();
-  const double* self = bself_.data();
-  if (p.row_tile_ <= 0) {
-    isa_->absorbing_rows_fused_norm_batch(lo, hi, p.ptr_, p.col_, p.w_,
-                                          p.wdeg_, add, scale, self, x, width);
-    return;
-  }
-  const int32_t tile = std::max<int32_t>(256, p.row_tile_ / width);
-  for (int32_t b = lo; b < hi; b += tile) {
-    const int32_t b_end = b + tile < hi ? b + tile : hi;
-    if (b_end < hi) {
-      PrefetchRows(b_end, b_end + tile < hi ? b_end + tile : hi);
-    }
-    if (p.norm_fly_) {
-      isa_->absorbing_rows_fused_norm_batch(b, b_end, p.ptr_, p.col_, p.w_,
-                                            p.wdeg_, add, scale, self, x,
-                                            width);
-    } else {
-      isa_->absorbing_rows_fused_batch(b, b_end, p.ptr_, p.col_,
-                                       p.prob_data_, add, scale, self, x,
-                                       width);
     }
   }
 }
@@ -604,51 +469,6 @@ void WalkKernel::SweepTruncatedItemValues(int iterations,
   if (p.perm_ != nullptr) {
     double* out = value->data();
     for (int32_t v = 0; v < n; ++v) out[v] = x[p.perm_[v]];
-  }
-}
-
-void WalkKernel::SweepTruncatedItemValuesBatch(
-    int iterations, std::vector<double>* value_block) const {
-  LT_CHECK(plan_ != nullptr) << "BuildTransitions/AdoptPlan must run first";
-  const WalkPlan& p = *plan_;
-  const int32_t n = p.num_nodes_;
-  const int32_t width = batch_width_;
-  LT_CHECK(width >= 1 &&
-           badd_.size() == static_cast<size_t>(n) * width)
-      << "CompileAbsorbingSweepBatch must run first";
-  const size_t block = static_cast<size_t>(n) * width;
-  value_block->assign(block, 0.0);
-  if (n == 0 || iterations <= 0) return;
-  g_fused_sweeps.fetch_add(1, std::memory_order_relaxed);
-  g_fused_lanes.fetch_add(static_cast<uint64_t>(width),
-                          std::memory_order_relaxed);
-  double* x;
-  if (p.perm_ == nullptr) {
-    x = value_block->data();
-  } else {
-    pblock_.assign(block, 0.0);
-    x = pblock_.data();
-  }
-  // Identical iteration structure to SweepTruncatedItemValues — only the
-  // row passes changed, and each lane of those is the sequential pass.
-  const int32_t num_users = p.graph_->num_users();
-  for (int t = 1; t <= iterations; ++t) {
-    const bool item_side = ((iterations - t) & 1) == 0;
-    const int32_t lo = item_side ? num_users : 0;
-    const int32_t hi = item_side ? n : num_users;
-    if (t == 1) {
-      RunAbsorbingRangeBatch(lo, hi, x, x);
-    } else {
-      RunFusedRangeBatch(lo, hi, x);
-    }
-  }
-  if (p.perm_ != nullptr) {
-    double* out = value_block->data();
-    for (int32_t v = 0; v < n; ++v) {
-      const int64_t src = static_cast<int64_t>(p.perm_[v]) * width;
-      const int64_t dst = static_cast<int64_t>(v) * width;
-      for (int32_t q = 0; q < width; ++q) out[dst + q] = x[src + q];
-    }
   }
 }
 

@@ -202,11 +202,6 @@ class WalkKernel {
   using Normalization = WalkNormalization;
   using SweepMode = WalkSweepMode;
 
-  /// Hard ceiling on the fused multi-query sweep width (mirrors the ISA
-  /// tables' per-row stack scratch; see walk_kernel_isa.h). Callers chunk
-  /// larger groups.
-  static constexpr int32_t kMaxFusedWidth = 32;
-
   /// Binds the kernel to the best row-gather implementation the running
   /// CPU supports (one CPUID probe per process, cached; see
   /// walk_kernel_isa.h). The binary is portable — an AVX2 host runs the
@@ -318,45 +313,6 @@ class WalkKernel {
   void SweepTruncatedItemValues(int iterations,
                                 std::vector<double>* value) const;
 
-  /// Fused multi-query compile: `absorbing[q]` is query q's absorbing flag
-  /// vector (each sized num_nodes, exactly as CompileAbsorbingSweep takes);
-  /// `node_cost` is shared by every lane — queries fused into one batch
-  /// come from the same recommender over the same subgraph, whose per-node
-  /// costs do not depend on the query. Fills K-strided coefficient blocks
-  /// (lane q of node v at index v·K + q, scattered through the permutation
-  /// on reordered plans) so one row pass serves all K queries. K =
-  /// absorbing.size() must be in [1, kMaxFusedWidth]. Lane q's compiled
-  /// semantics are exactly CompileAbsorbingSweep(absorbing[q], node_cost)'s.
-  void CompileAbsorbingSweepBatch(const std::vector<std::vector<bool>>& absorbing,
-                                  const std::vector<double>& node_cost);
-
-  /// Fused multi-query ranking sweep over the coefficients compiled by
-  /// CompileAbsorbingSweepBatch: one CSR pass per truncated-walk iteration
-  /// advances all K interleaved value lanes — each edge's column load
-  /// feeds K lanes (K=8 doubles is exactly one cache line per gathered
-  /// node), amortizing the memory stream that bandwidth-binds the
-  /// single-query sweep past L2. On return `*value_block` holds num_nodes·K
-  /// doubles, lane q strided at value_block[v·K + q]; item rows of lane q
-  /// are BIT-IDENTICAL to SweepTruncatedItemValues run sequentially for
-  /// query q (user rows hold the same last intermediate as the sequential
-  /// sweep and must not be consumed). Increments the process-global fused
-  /// sweep counters (GetWalkKernelFusedStats).
-  void SweepTruncatedItemValuesBatch(int iterations,
-                                     std::vector<double>* value_block) const;
-
-  /// Width of the last CompileAbsorbingSweepBatch (0 before any).
-  int32_t fused_width() const { return batch_width_; }
-
-  /// The fusion width cap for a graph of `num_nodes` local nodes: 16 while
-  /// a 16-lane value block still fits the probed L2 (small cached
-  /// subgraphs — wider fusion is free when the whole block stays
-  /// cache-resident), else 8 — eight interleaved double lanes per node are
-  /// exactly one 64-byte line, so every gathered line is fully used and
-  /// the CSR stream is amortized 8 ways, which is where the bandwidth win
-  /// saturates in the past-L2 regime (see docs/KERNELS.md and the
-  /// fused-width bench ladder).
-  static int32_t FusedWidthCap(int32_t num_nodes);
-
   /// One power-iteration step over the transition CSR:
   ///     y[v] = alpha·⟨prob_row(v), x⟩ + beta·restart[v]
   /// (`restart == nullptr` drops the second term). With kColumnStochastic
@@ -385,11 +341,6 @@ class WalkKernel {
                          double* nxt) const;
   /// Same for the ranking sweep's in-place double-step pass.
   void RunFusedRange(int32_t lo, int32_t hi, double* x) const;
-  /// Multi-query flavours over the K-strided coefficient blocks; the row
-  /// tile shrinks by the width so the dense streams still fit L1.
-  void RunAbsorbingRangeBatch(int32_t lo, int32_t hi, const double* cur,
-                              double* nxt) const;
-  void RunFusedRangeBatch(int32_t lo, int32_t hi, double* x) const;
   /// Prefetches the col/prob strips of sweep-space rows [lo, hi).
   void PrefetchRows(int32_t lo, int32_t hi) const;
 
@@ -412,30 +363,12 @@ class WalkKernel {
   std::vector<double> add_;    // constant term (0 for absorbing rows)
   std::vector<double> scale_;  // 1 ordinary row, 0 absorbing/isolated
   std::vector<double> self_;   // 1 isolated transient row, else 0
-  /// K-strided coefficient blocks compiled by CompileAbsorbingSweepBatch
-  /// (lane q of sweep-space row v at v·batch_width_ + q).
-  int32_t batch_width_ = 0;
-  std::vector<double> badd_;
-  std::vector<double> bscale_;
-  std::vector<double> bself_;
   /// Permuted-space sweep buffers (reordered plans only). Mutable because
   /// sweeps are logically const — the kernel is single-owner per worker.
   mutable std::vector<double> pval_;
   mutable std::vector<double> pscratch_;
   mutable std::vector<double> px_;
-  /// Permuted-space strided value block for the fused batch sweep.
-  mutable std::vector<double> pblock_;
 };
-
-/// Process-global fused-sweep counters: how many fused batch sweeps ran and
-/// how many query lanes they carried (lanes / sweeps = mean fused width).
-/// Exported to /metrics as longtail_walk_fused_sweeps_total and
-/// longtail_walk_fused_lanes_total.
-struct WalkKernelFusedStats {
-  uint64_t sweeps = 0;
-  uint64_t lanes = 0;
-};
-WalkKernelFusedStats GetWalkKernelFusedStats();
 
 }  // namespace longtail
 

@@ -46,57 +46,6 @@ inline double RowGatherNorm(const double* w, const NodeId* col, int64_t begin,
   return sum;
 }
 
-// Fused multi-query gather: lane q reads the strided view x[col[k]·width+q]
-// with the exact per-lane loop of RowGather — same 4 accumulators over the
-// same edge partition, same reduction tree, same scalar edge tail — so
-// out[q] is bit-identical to a sequential sweep of lane q. Lane-major
-// iteration re-walks the row's col/prob strip per lane, but the strip is
-// L1-hot after lane 0; the bandwidth win is that each gathered node's
-// x-line serves all lanes that touch it.
-inline void RowGatherBatch(const double* prob, const NodeId* col,
-                           int64_t begin, int64_t end, const double* x,
-                           int32_t width, double* out) {
-  for (int32_t q = 0; q < width; ++q) {
-    const double* xq = x + q;
-    int64_t k = begin;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (; k + 4 <= end; k += 4) {
-      a0 += prob[k] * xq[static_cast<int64_t>(col[k]) * width];
-      a1 += prob[k + 1] * xq[static_cast<int64_t>(col[k + 1]) * width];
-      a2 += prob[k + 2] * xq[static_cast<int64_t>(col[k + 2]) * width];
-      a3 += prob[k + 3] * xq[static_cast<int64_t>(col[k + 3]) * width];
-    }
-    double sum = (a0 + a1) + (a2 + a3);
-    for (; k < end; ++k) {
-      sum += prob[k] * xq[static_cast<int64_t>(col[k]) * width];
-    }
-    out[q] = sum;
-  }
-}
-
-// Normalizing flavour: (w[k]·inv) formed per edge exactly as RowGatherNorm
-// does, so every rounding matches the sequential normalizing sweep.
-inline void RowGatherNormBatch(const double* w, const NodeId* col,
-                               int64_t begin, int64_t end, const double* x,
-                               double inv, int32_t width, double* out) {
-  for (int32_t q = 0; q < width; ++q) {
-    const double* xq = x + q;
-    int64_t k = begin;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (; k + 4 <= end; k += 4) {
-      a0 += (w[k] * inv) * xq[static_cast<int64_t>(col[k]) * width];
-      a1 += (w[k + 1] * inv) * xq[static_cast<int64_t>(col[k + 1]) * width];
-      a2 += (w[k + 2] * inv) * xq[static_cast<int64_t>(col[k + 2]) * width];
-      a3 += (w[k + 3] * inv) * xq[static_cast<int64_t>(col[k + 3]) * width];
-    }
-    double sum = (a0 + a1) + (a2 + a3);
-    for (; k < end; ++k) {
-      sum += (w[k] * inv) * xq[static_cast<int64_t>(col[k]) * width];
-    }
-    out[q] = sum;
-  }
-}
-
 #include "graph/walk_kernel_rows.inc"
 
 }  // namespace
@@ -107,11 +56,7 @@ const WalkKernelIsa* GenericWalkKernelIsa() {
                                         &AbsorbingRowsFused,
                                         &AbsorbingRowsNorm,
                                         &AbsorbingRowsFusedNorm,
-                                        &ApplyRows,
-                                        &AbsorbingRowsBatch,
-                                        &AbsorbingRowsFusedBatch,
-                                        &AbsorbingRowsNormBatch,
-                                        &AbsorbingRowsFusedNormBatch};
+                                        &ApplyRows};
   return &isa;
 }
 

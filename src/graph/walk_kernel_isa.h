@@ -21,11 +21,6 @@
 namespace longtail {
 namespace internal {
 
-/// Hard ceiling on the fused multi-query sweep width: the batch row passes
-/// keep one per-lane gather accumulator block on the stack, sized by this
-/// constant. WalkKernel::kMaxFusedWidth mirrors it for public callers.
-inline constexpr int32_t kMaxFusedWidth = 32;
-
 /// One instruction-set flavour of the kernel's hot row passes. All passes
 /// process local node rows [lo, hi) of a transition CSR (`ptr`, `col`,
 /// `prob`); callers own blocking and iteration structure.
@@ -83,43 +78,6 @@ struct WalkKernelIsa {
                      const NodeId* col, const double* prob, double alpha,
                      const double* x, double beta, const double* restart,
                      double* y);
-
-  /// Fused multi-query (SpMM) flavours: `width` query lanes interleaved
-  /// node-major — lane q of node v lives at index v·width + q of every
-  /// strided array (add/scale/self/cur/nxt or x). One CSR row stream feeds
-  /// all lanes; per lane the accumulation order, reduction tree and
-  /// absorbing skip are exactly the single-query pass's, so lane q is
-  /// bit-identical to a sequential sweep of query q (the parity suite pins
-  /// this across widths 1–17, plans and ISAs). Rows absorbing in *every*
-  /// lane skip their gather entirely; rows absorbing in some lanes gather
-  /// once and overwrite the absorbing lanes with the constant +0.0 the
-  /// sequential pass writes. `width` must be in [1, kMaxFusedWidth].
-  void (*absorbing_rows_batch)(int32_t lo, int32_t hi, const int64_t* ptr,
-                               const NodeId* col, const double* prob,
-                               const double* add, const double* scale,
-                               const double* self, const double* cur,
-                               double* nxt, int32_t width);
-
-  /// Batch flavour of absorbing_rows_fused (in-place double step).
-  void (*absorbing_rows_fused_batch)(int32_t lo, int32_t hi,
-                                     const int64_t* ptr, const NodeId* col,
-                                     const double* prob, const double* add,
-                                     const double* scale, const double* self,
-                                     double* x, int32_t width);
-
-  /// Batch flavour of absorbing_rows_norm (on-the-fly normalization).
-  void (*absorbing_rows_norm_batch)(int32_t lo, int32_t hi,
-                                    const int64_t* ptr, const NodeId* col,
-                                    const double* w, const double* wdeg,
-                                    const double* add, const double* scale,
-                                    const double* self, const double* cur,
-                                    double* nxt, int32_t width);
-
-  /// Batch flavour of absorbing_rows_fused_norm.
-  void (*absorbing_rows_fused_norm_batch)(
-      int32_t lo, int32_t hi, const int64_t* ptr, const NodeId* col,
-      const double* w, const double* wdeg, const double* add,
-      const double* scale, const double* self, double* x, int32_t width);
 };
 
 /// The portable scalar implementation; always available.

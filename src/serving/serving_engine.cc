@@ -5,7 +5,6 @@
 #include <chrono>
 #include <utility>
 
-#include "graph/walk_kernel.h"
 #include "serving/model_registry.h"
 #include "util/serving_pool.h"
 
@@ -162,25 +161,15 @@ void ServingEngine::RegisterEngineMetrics() {
       "longtail_engine_queue_wait_ticks",
       "Per-request queue wait at dispatch, in ticks.",
       std::move(wait_bounds));
-  // Fused-sweep visibility: widths observed per dispatched kernel sweep
-  // (1, 2, 4, ..., 32 — the kernel cap), plus the process-wide kernel
-  // counters, so /metrics can answer both "are batches arriving fused?"
-  // and "what is the mean fused width?" (lanes / sweeps).
+  // Walk sharing: queries served per walk (1, 2, 4, ..., 32), observed
+  // after QueryBatch groups a micro-batch by user, so /metrics shows how
+  // often duplicate requests ride one walk.
   fused_width_hist_ = metrics_->RegisterHistogram(
-      "longtail_engine_fused_width",
-      "Fused group width per dispatched kernel sweep (post-grouping).",
+      "longtail_engine_fused_width", "Queries served per walk.",
       ExponentialBuckets(1.0, 2.0, 6));
   fused_width_observer_fn_ = [this](int32_t width) {
     fused_width_hist_->Observe(static_cast<double>(width));
   };
-  metrics_->RegisterCallbackCounter(
-      "longtail_walk_fused_sweeps_total",
-      "Fused multi-query kernel sweeps executed (process-wide).", {},
-      [] { return GetWalkKernelFusedStats().sweeps; }, this);
-  metrics_->RegisterCallbackCounter(
-      "longtail_walk_fused_lanes_total",
-      "Query lanes carried by fused kernel sweeps (process-wide).", {},
-      [] { return GetWalkKernelFusedStats().lanes; }, this);
 }
 
 void ServingEngine::RegisterEntryMetrics(ModelEntry* entry) {
@@ -467,8 +456,8 @@ void ServingEngine::ExecuteBatch(ModelEntry* entry,
   batch_options.pool = options_.pool;
   batch_options.subgraph_cache = options_.subgraph_cache;
   // Same-model batches arrive here intact (queues are per model), so
-  // QueryBatch's seed-set grouping sees every fusable pair; the observer
-  // records the widths it actually dispatched.
+  // QueryBatch's per-user grouping sees every duplicate; the observer
+  // records how many queries each walk served.
   batch_options.fused_width_observer = &fused_width_observer_fn_;
   std::vector<UserQueryResult> batch_results =
       entry->model->QueryBatch(queries, batch_options);

@@ -273,10 +273,10 @@ class ServingEngine {
   /// Owned by the registry; observed on the dispatch path.
   Histogram* batch_size_hist_ = nullptr;
   Histogram* queue_wait_hist_ = nullptr;
-  /// Post-grouping fused sweep widths (longtail_engine_fused_width):
-  /// batch_size_hist_ counts requests per micro-batch, this counts query
-  /// lanes per fused kernel sweep after QueryBatch groups by seed set —
-  /// the pair separates queue tuning from fusion efficiency.
+  /// Queries served per walk (longtail_engine_fused_width):
+  /// batch_size_hist_ counts requests per micro-batch, this counts the
+  /// queries each walk served after QueryBatch groups them by user — the
+  /// pair separates queue tuning from duplicate sharing.
   Histogram* fused_width_hist_ = nullptr;
   /// Bound once at construction and handed to every QueryBatch via
   /// BatchOptions::fused_width_observer (pool workers call it

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/pagerank.h"
@@ -196,43 +199,98 @@ TEST_F(BatchParityTest, FailedQueriesAreIsolated) {
   }
 }
 
-// Duplicated users force the fused multi-query sweep: queries with equal
-// seed sets group onto one subgraph and advance as interleaved lanes of a
-// single CSR pass. Results must be bit-identical to the sequential
-// per-user calls and to the ungrouped width-1 dispatch, at every fused
-// width ceiling and thread count, and the width observer must account for
-// every served query exactly once.
-TEST_F(BatchParityTest, FusedGroupingMatchesUngroupedAcrossWidthsAndThreads) {
+// Sequential reference for one UserQuery: the per-user virtuals, called
+// exactly as a caller without the batch API would.
+UserQueryResult SequentialQuery(const Recommender& rec, const UserQuery& q) {
+  UserQueryResult out;
+  if (q.top_k > 0) {
+    auto top = rec.RecommendTopK(q.user, q.top_k);
+    if (!top.ok()) {
+      out.status = top.status();
+      return out;
+    }
+    out.top_k = std::move(top).value();
+  }
+  if (!q.score_items.empty()) {
+    auto scores = rec.ScoreItems(q.user, q.score_items);
+    if (!scores.ok()) {
+      out.status = scores.status();
+      return out;
+    }
+    out.scores = std::move(scores).value();
+  }
+  return out;
+}
+
+void ExpectIdenticalResults(const std::vector<UserQueryResult>& expected,
+                            const std::vector<UserQueryResult>& actual,
+                            const std::string& label) {
+  ASSERT_EQ(expected.size(), actual.size()) << label;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const std::string at = label + " query " + std::to_string(i);
+    EXPECT_EQ(expected[i].status.code(), actual[i].status.code()) << at;
+    ExpectIdenticalLists(expected[i].top_k, actual[i].top_k, at);
+    EXPECT_EQ(expected[i].scores, actual[i].scores) << at;
+  }
+}
+
+// Duplicated users share one walk: QueryBatch groups the batch by user,
+// walks each distinct user once and serves every member from that walk.
+// The batch mixes a hot user ×6, interleaved smaller duplicate runs, an
+// invalid user, empty queries, and duplicates of one user asking for
+// different top_k and score lists. Results must be bit-identical to the
+// sequential per-user calls at 1 and 8 threads, and the observer must see
+// exactly one walk per distinct valid user, carrying all of its queries.
+TEST_F(BatchParityTest, DuplicateUsersShareOneWalk) {
+  const std::vector<ItemId> candidates = {2, 5, 9, 14, 21};
+  const std::vector<ItemId> other_candidates = {40, 1, 33};
+  const std::vector<UserId> pattern = {7, 3, 7, 12, 7, 3,  7, -1, 25,
+                                       7, 3, 7, 30, 12, 3, 31, 32, 33};
+  std::vector<UserQuery> queries;
+  for (UserId u : pattern) {
+    UserQuery q;
+    q.user = u;
+    q.top_k = 6;
+    q.score_items = candidates;
+    queries.push_back(q);
+  }
+  // User 12 again with a different k and score list, top-k only, and
+  // scores only; user 40 only in empty queries (no walk at all); an empty
+  // query for the hot user and one for the invalid user.
+  auto add = [&](UserId u, int k, std::span<const ItemId> items) {
+    UserQuery q;
+    q.user = u;
+    q.top_k = k;
+    q.score_items = items;
+    queries.push_back(q);
+  };
+  add(12, 3, other_candidates);
+  add(12, 9, {});
+  add(12, 0, other_candidates);
+  add(40, 0, {});
+  add(7, 0, {});
+  add(-1, 0, {});
+  add(40, 0, {});
+  // Per distinct user with a non-empty query: its number of queries.
+  std::map<UserId, int32_t> per_user;
+  for (const UserQuery& q : queries) {
+    const bool empty = q.top_k <= 0 && q.score_items.empty();
+    if (!empty && q.user >= 0 && q.user < data_->num_users()) {
+      ++per_user[q.user];
+    }
+  }
+  std::vector<int32_t> expected_widths;
+  for (const auto& [user, count] : per_user) expected_widths.push_back(count);
+  std::sort(expected_widths.begin(), expected_widths.end());
+
   for (const auto& rec : BuildSuite()) {
     // DPPR is in the parity suite but is not a graph-walk engine: it takes
     // the default per-query dispatch and never invokes the observer.
     const bool graph_engine =
         dynamic_cast<const GraphRecommenderBase*>(rec.get()) != nullptr;
-    const std::vector<ItemId> candidates = {2, 5, 9, 14, 21};
-    // 6 copies of a hot user + assorted singletons and smaller duplicate
-    // runs, interleaved so grouping has to reorder, plus one bad user whose
-    // failure must stay isolated inside its would-be group.
-    const std::vector<UserId> pattern = {7, 3, 7, 12, 7, 3,  7, -1, 25,
-                                         7, 3, 7, 30, 12, 3, 31, 32, 33};
-    std::vector<UserQuery> queries;
-    for (UserId u : pattern) {
-      UserQuery q;
-      q.user = u;
-      q.top_k = 6;
-      q.score_items = candidates;
-      queries.push_back(q);
-    }
-    std::vector<UserQueryResult> expected(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto top = rec->RecommendTopK(queries[i].user, 6);
-      if (!top.ok()) {
-        expected[i].status = top.status();
-        continue;
-      }
-      expected[i].top_k = std::move(top).value();
-      auto scores = rec->ScoreItems(queries[i].user, candidates);
-      ASSERT_TRUE(scores.ok()) << rec->name();
-      expected[i].scores = std::move(scores).value();
+    std::vector<UserQueryResult> expected;
+    for (const UserQuery& q : queries) {
+      expected.push_back(SequentialQuery(*rec, q));
     }
     std::mutex mu;
     std::vector<int32_t> widths;
@@ -241,52 +299,19 @@ TEST_F(BatchParityTest, FusedGroupingMatchesUngroupedAcrossWidthsAndThreads) {
       widths.push_back(width);
     };
     for (size_t threads : {1u, 8u}) {
-      for (int32_t cap : {0, 1, 2, 3, 8}) {
-        BatchOptions options;
-        options.num_threads = threads;
-        options.max_fused_width = cap;
-        options.fused_width_observer = &observer;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          widths.clear();
-        }
-        auto results = rec->QueryBatch(queries, options);
-        ASSERT_EQ(results.size(), queries.size());
-        const std::string label = rec->name() + " cap " + std::to_string(cap) +
-                                  " @" + std::to_string(threads) + "t";
-        size_t served = 0;
-        for (size_t i = 0; i < queries.size(); ++i) {
-          if (!expected[i].status.ok()) {
-            EXPECT_EQ(expected[i].status.code(), results[i].status.code())
-                << label;
-            continue;
-          }
-          ASSERT_TRUE(results[i].status.ok()) << label << " query " << i;
-          ++served;
-          ExpectIdenticalLists(expected[i].top_k, results[i].top_k,
-                               label + " query " + std::to_string(i));
-          EXPECT_EQ(expected[i].scores, results[i].scores)
-              << label << " query " << i;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (!graph_engine || cap == 1) {
-          // Width 1 takes the ungrouped per-query dispatch; the observer
-          // never fires there (nor for non-graph recommenders).
-          EXPECT_TRUE(widths.empty()) << label;
-        } else {
-          int64_t lanes = 0;
-          for (int32_t w : widths) {
-            lanes += w;
-            EXPECT_GE(w, 1) << label;
-            if (cap > 0) EXPECT_LE(w, cap) << label;
-          }
-          // Every successfully served query rode exactly one dispatched
-          // sweep; with 6 copies of user 7 and a cap above 1, at least one
-          // sweep must actually have fused.
-          EXPECT_EQ(lanes, static_cast<int64_t>(served)) << label;
-          EXPECT_GT(*std::max_element(widths.begin(), widths.end()), 1)
-              << label;
-        }
+      BatchOptions options;
+      options.num_threads = threads;
+      options.fused_width_observer = &observer;
+      widths.clear();
+      const std::string label = rec->name() + " @" + std::to_string(threads) +
+                                "t";
+      ExpectIdenticalResults(expected, rec->QueryBatch(queries, options),
+                             label);
+      std::sort(widths.begin(), widths.end());
+      if (graph_engine) {
+        EXPECT_EQ(expected_widths, widths) << label;
+      } else {
+        EXPECT_TRUE(widths.empty()) << label;
       }
     }
   }
@@ -299,20 +324,30 @@ TEST_F(BatchParityTest, ExactSolverBatchMatchesSequential) {
   walk.exact = true;
   AbsorbingTimeRecommender rec(walk);
   ASSERT_TRUE(rec.Fit(*data_).ok());
-  std::vector<UserId> users = TestUsers();
-  std::vector<std::vector<ScoredItem>> expected(users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    auto top = rec.RecommendTopK(users[i], 8);
-    ASSERT_TRUE(top.ok());
-    expected[i] = std::move(top).value();
+  // The exact path groups by user too: every test user once, then a second
+  // pass over every third user with a different k.
+  std::vector<UserQuery> queries;
+  for (UserId u : TestUsers()) {
+    UserQuery q;
+    q.user = u;
+    q.top_k = 8;
+    queries.push_back(q);
+  }
+  for (UserId u : TestUsers()) {
+    if (u % 3 != 0) continue;
+    UserQuery q;
+    q.user = u;
+    q.top_k = 4;
+    queries.push_back(q);
+  }
+  std::vector<UserQueryResult> expected;
+  for (const UserQuery& q : queries) {
+    expected.push_back(SequentialQuery(rec, q));
+    ASSERT_TRUE(expected.back().status.ok());
   }
   BatchOptions options;
   options.num_threads = 4;
-  auto batch = rec.RecommendBatch(users, 8, options);
-  for (size_t i = 0; i < users.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok());
-    ExpectIdenticalLists(expected[i], *batch[i], "exact");
-  }
+  ExpectIdenticalResults(expected, rec.QueryBatch(queries, options), "exact");
 }
 
 }  // namespace

@@ -175,10 +175,8 @@ TEST_F(ServingEngineTest, EngineResultsBitIdenticalToDirectQueryBatch) {
 }
 
 // N identical cold queries through the engine perform exactly one subgraph
-// extraction. The fused batch engine groups identical seed sets before the
-// cache is even consulted, so the cache sees one resolution per dispatched
-// slice rather than one per query: exactly one miss fills, every further
-// slice resolves as a hit or coalesced wait — never a second extraction.
+// extraction and one cache lookup: QueryBatch groups the batch by user
+// before the cache is consulted and runs one walk for all N queries.
 TEST_F(ServingEngineTest, IdenticalConcurrentColdQueriesExtractOnce) {
   auto at = FittedAt();
   SubgraphCache cache;
@@ -204,10 +202,9 @@ TEST_F(ServingEngineTest, IdenticalConcurrentColdQueriesExtractOnce) {
   const SubgraphCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.misses, 1u) << "duplicate extraction ran";
   EXPECT_EQ(stats.inserts, 1u);
-  // 32 duplicates collapse into one seed-set group sliced at the fused
-  // dispatch width, so lookups = slices, not queries.
-  EXPECT_GE(stats.hits + stats.coalesced_waits, 1u);
-  EXPECT_LE(stats.hits + stats.coalesced_waits, kDupes - 1);
+  // The 32 duplicates arrive as one micro-batch and QueryBatch walks the
+  // user once, so the cache sees exactly one lookup: the miss above.
+  EXPECT_EQ(stats.hits + stats.coalesced_waits, 0u);
 }
 
 // Deadline semantics: dead-on-arrival requests are rejected at Submit;

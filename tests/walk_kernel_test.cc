@@ -590,151 +590,6 @@ TEST(WalkKernelTest, SharedLayoutParityAtOneAndEightThreads) {
   }
 }
 
-// The fused multi-query sweep's contract: lane q of the strided value
-// block is bit-identical to a sequential SweepTruncatedItemValues of query
-// q — across every execution plan, both ISA flavours, ragged widths (the
-// lane tail past the last multiple of 4), mixed per-query absorbing sets,
-// and odd/even iteration counts.
-TEST(WalkKernelTest, FusedBatchSweepBitIdenticalToSequential) {
-  const WalkKernel::SweepMode plans[] = {
-      WalkKernel::SweepMode::kSimple,
-      WalkKernel::SweepMode::kBlocked,
-      WalkKernel::SweepMode::kBlockedReordered,
-  };
-  uint64_t seed = 90000;
-  const BipartiteGraph g = RandomGraph(90, 110, 0.10, ++seed, 5, 6);
-  const int32_t n = g.num_nodes();
-  const auto costs = RandomCosts(n, ++seed);
-  for (int width : {1, 2, 3, 4, 5, 7, 8, 11, 16, 17}) {
-    std::vector<std::vector<bool>> absorbing;
-    for (int q = 0; q < width; ++q) {
-      absorbing.push_back(RandomAbsorbing(n, 0.15, seed + 100 + q));
-    }
-    for (bool generic : {false, true}) {
-      for (WalkKernel::SweepMode plan : plans) {
-        for (int tau : {1, 2, 7, 16}) {
-          WalkKernel k;
-          if (generic) k.ForceGenericIsaForTesting();
-          k.ForcePlanForTesting(plan);
-          k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-          k.CompileAbsorbingSweepBatch(absorbing, costs);
-          std::vector<double> block;
-          k.SweepTruncatedItemValuesBatch(tau, &block);
-          ASSERT_EQ(static_cast<size_t>(n) * width, block.size());
-          for (int q = 0; q < width; ++q) {
-            k.CompileAbsorbingSweep(absorbing[q], costs);
-            std::vector<double> seq;
-            k.SweepTruncatedItemValues(tau, &seq);
-            for (int32_t v = g.num_users(); v < n; ++v) {
-              ASSERT_EQ(seq[v], block[static_cast<size_t>(v) * width + q])
-                  << k.isa_name() << "/" << k.sweep_strategy() << " width "
-                  << width << " tau " << tau << " lane " << q << " item row "
-                  << v;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// Degenerate batches: empty seed subgraph, zero iterations, a lane whose
-// absorbing set covers every node, and width 1 (the fused path must be a
-// drop-in for the sequential sweep even when nothing fuses).
-TEST(WalkKernelTest, FusedBatchHandlesEmptyAndAllAbsorbingLanes) {
-  const BipartiteGraph empty = BipartiteGraph::FromAdjacency(0, 0, {});
-  for (WalkKernel::SweepMode plan :
-       {WalkKernel::SweepMode::kSimple, WalkKernel::SweepMode::kBlocked,
-        WalkKernel::SweepMode::kBlockedReordered}) {
-    WalkKernel k;
-    k.ForcePlanForTesting(plan);
-    k.BuildTransitions(empty, WalkKernel::Normalization::kRowStochastic);
-    k.CompileAbsorbingSweepBatch({{}, {}, {}}, {});
-    std::vector<double> block{1.0, 2.0};
-    k.SweepTruncatedItemValuesBatch(15, &block);
-    EXPECT_TRUE(block.empty());
-  }
-
-  const BipartiteGraph g = RandomGraph(30, 20, 0.2, 91001, 2, 3);
-  const int32_t n = g.num_nodes();
-  const auto costs = RandomCosts(n, 91002);
-  std::vector<std::vector<bool>> absorbing;
-  absorbing.push_back(std::vector<bool>(n, true));   // everything absorbs
-  absorbing.push_back(std::vector<bool>(n, false));  // nothing absorbs
-  absorbing.push_back(RandomAbsorbing(n, 0.3, 91003));
-  WalkKernel k;
-  k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-  k.CompileAbsorbingSweepBatch(absorbing, costs);
-  std::vector<double> block;
-  k.SweepTruncatedItemValuesBatch(0, &block);
-  for (double x : block) EXPECT_EQ(0.0, x);
-  k.SweepTruncatedItemValuesBatch(15, &block);
-  for (int q = 0; q < 3; ++q) {
-    k.CompileAbsorbingSweep(absorbing[q], costs);
-    std::vector<double> seq;
-    k.SweepTruncatedItemValues(15, &seq);
-    for (int32_t v = g.num_users(); v < n; ++v) {
-      ASSERT_EQ(seq[v], block[static_cast<size_t>(v) * 3 + q])
-          << "lane " << q << " item row " << v;
-    }
-  }
-}
-
-// Eight workers fused-sweeping one shared adopted plan concurrently (the
-// grouped-QueryBatch steady state) must each match the single-threaded
-// sequential sweeps bit for bit.
-TEST(WalkKernelTest, FusedBatchSharedPlanParityAtOneAndEightThreads) {
-  const BipartiteGraph g = RandomGraph(120, 100, 0.05, 92000, 4, 3);
-  const int32_t n = g.num_nodes();
-  const auto costs = RandomCosts(n, 92001);
-  constexpr int kTau = 15;
-  constexpr int kWidth = 5;
-  std::vector<std::vector<bool>> absorbing;
-  for (int q = 0; q < kWidth; ++q) {
-    absorbing.push_back(RandomAbsorbing(n, 0.15, 92002 + q));
-  }
-
-  std::vector<std::vector<double>> expected(kWidth);
-  {
-    WalkKernel identity;
-    identity.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-    for (int q = 0; q < kWidth; ++q) {
-      identity.CompileAbsorbingSweep(absorbing[q], costs);
-      identity.SweepTruncatedItemValues(kTau, &expected[q]);
-    }
-  }
-
-  auto layout = std::make_shared<WalkLayout>();
-  BuildWalkLayout(g, /*with_row_prob=*/true, layout.get());
-  auto plan = std::make_shared<WalkPlan>();
-  plan->Build(g, WalkNormalization::kRowStochastic, layout);
-
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    std::vector<std::vector<double>> blocks(threads);
-    std::vector<std::thread> pool;
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        WalkKernel k;
-        k.AdoptPlan(plan);
-        k.CompileAbsorbingSweepBatch(absorbing, costs);
-        k.SweepTruncatedItemValuesBatch(kTau, &blocks[t]);
-      });
-    }
-    for (auto& th : pool) th.join();
-    for (size_t t = 0; t < threads; ++t) {
-      ASSERT_EQ(static_cast<size_t>(n) * kWidth, blocks[t].size());
-      for (int q = 0; q < kWidth; ++q) {
-        for (int32_t v = g.num_users(); v < n; ++v) {
-          EXPECT_EQ(expected[q][v],
-                    blocks[t][static_cast<size_t>(v) * kWidth + q])
-              << threads << "t worker " << t << " lane " << q << " item row "
-              << v;
-        }
-      }
-    }
-  }
-}
-
 // The kernel serves every production path; sequential and batch results
 // must therefore stay bit-identical at any thread count.
 TEST(WalkKernelTest, RecommenderBatchParityAtOneAndEightThreads) {
