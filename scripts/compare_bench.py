@@ -8,7 +8,9 @@ Usage:
       rows by name. Exits non-zero when any metric regresses by more than
       --max-regression (default 10%). Rows or metrics present only on one
       side are reported but never fail the run — corpus scale and machine
-      geometry legitimately change the row set.
+      geometry legitimately change the row set. Kernel rows whose nodes or
+      edges differ between the two files (a run at another corpus scale)
+      are reported as size-mismatched and not compared.
 
   compare_bench.py --assert-only CANDIDATE.json [--min-full-speedup 0.98]
       No baseline: asserts invariants that must hold on any machine at any
@@ -95,6 +97,13 @@ def metric(row, name):
     return None
 
 
+def row_size(row):
+    """(nodes, edges) of a kernel sweep row: a row name such as mu_quarter
+    names a rung relative to the corpus, so runs at different corpus scales
+    sweep differently sized graphs under one name."""
+    return row.get("nodes"), row.get("edges")
+
+
 def compare(baseline, candidate, max_regression):
     """Yields (section, row, metric, base, cand, regression) tuples."""
     sections = (
@@ -113,6 +122,14 @@ def compare(baseline, candidate, max_regression):
                 continue
             if name not in base_rows:
                 print(f"  [info] {section}/{name}: only in candidate")
+                continue
+            if section == "kernel" and row_size(base_rows[name]) != row_size(
+                    cand_rows[name]):
+                base_n, base_e = row_size(base_rows[name])
+                cand_n, cand_e = row_size(cand_rows[name])
+                print(f"  [info] {section}/{name}: size differs (baseline "
+                      f"{base_n}/{base_e} vs candidate {cand_n}/{cand_e}), "
+                      f"not compared")
                 continue
             for rate in rates:
                 base = metric(base_rows[name], rate)

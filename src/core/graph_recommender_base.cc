@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "data/serialization.h"
 #include "graph/subgraph_cache.h"
@@ -24,7 +25,39 @@ WalkWorkspace& LocalWorkspace() {
   return workspace;
 }
 
+/// Connected-component label of every node of `g`: the smallest node id
+/// of its component. One O(V + E) BFS pass; a zero-degree node is its own
+/// component.
+std::vector<int32_t> ComponentLabels(const BipartiteGraph& g) {
+  std::vector<int32_t> label(g.num_nodes(), -1);
+  std::vector<NodeId> queue;
+  for (NodeId root = 0; root < g.num_nodes(); ++root) {
+    if (label[root] >= 0) continue;
+    label[root] = root;
+    queue.assign(1, root);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (NodeId nbr : g.Neighbors(queue[head])) {
+        if (label[nbr] >= 0) continue;
+        label[nbr] = root;
+        queue.push_back(nbr);
+      }
+    }
+  }
+  return label;
+}
+
 }  // namespace
+
+struct GraphRecommenderBase::WholeGraphPlan {
+  /// Identity payload over a compact copy of graph_: local ids equal
+  /// global node ids, so adopters resolve ids through its node index.
+  std::shared_ptr<const Subgraph> sub;
+  /// NodeCosts(*sub), evaluated once; user-independent for every walker.
+  std::vector<double> node_costs;
+  /// ComponentLabels(graph_): a per-query extraction would have kept only
+  /// the seed's component, so items labelled otherwise are skipped.
+  std::vector<int32_t> component;
+};
 
 Status GraphRecommenderBase::Fit(const Dataset& data) {
   if (data_ != nullptr) {
@@ -32,7 +65,33 @@ Status GraphRecommenderBase::Fit(const Dataset& data) {
   }
   data_ = &data;
   graph_ = BipartiteGraph::FromDataset(data, options_.weighted_edges);
-  return FitImpl();
+  LT_RETURN_IF_ERROR(FitImpl());
+  BuildWholeGraphPlan();
+  return Status::OK();
+}
+
+void GraphRecommenderBase::BuildWholeGraphPlan() {
+  whole_graph_.reset();
+  // While µ caps, each query extracts its own subgraph instead.
+  const int32_t mu = options_.max_subgraph_items;
+  if (mu > 0 && mu < graph_.num_items()) return;
+  auto sub = std::make_shared<Subgraph>();
+  sub->graph = graph_.CompactCopy();
+  sub->users.resize(graph_.num_users());
+  std::iota(sub->users.begin(), sub->users.end(), 0);
+  sub->items.resize(graph_.num_items());
+  std::iota(sub->items.begin(), sub->items.end(), 0);
+  // The same plan the cold path's BuildTransitions would build for this
+  // graph (no layout), built once instead of once per query.
+  auto plan = std::make_shared<WalkPlan>();
+  plan->Build(sub->graph, WalkNormalization::kRowStochastic);
+  sub->plan = std::move(plan);
+  sub->node_index.Build(graph_.num_users(), graph_.num_items(), *sub);
+  auto whole = std::make_shared<WholeGraphPlan>();
+  NodeCosts(*sub, &whole->node_costs);
+  whole->component = ComponentLabels(graph_);
+  whole->sub = std::move(sub);
+  whole_graph_ = std::move(whole);
 }
 
 void GraphRecommenderBase::NodeCosts(const Subgraph& sub,
@@ -160,6 +219,7 @@ Status GraphRecommenderBase::LoadModel(CheckpointReader& reader,
   options_ = loaded_options;
   graph_ = std::move(loaded_graph);
   data_ = &data;
+  BuildWholeGraphPlan();
   return Status::OK();
 }
 
@@ -173,26 +233,36 @@ Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
         "no seed nodes for user " + std::to_string(user) +
         " (cold-start users cannot be served by graph recommenders)");
   }
-  SubgraphOptions sub_options;
-  sub_options.max_items = options_.max_subgraph_items;
-  // Subgraph extraction is a pure function of (graph, seeds, µ), so a
-  // cached extraction — possibly inserted by a sibling recommender fitted
-  // on the same dataset — is adopted verbatim; the walk below is
-  // bit-identical either way. The cache's single-flight front door also
-  // coalesces concurrent identical misses into one extraction.
-  if (cache != nullptr) {
-    cache->GetOrExtract(graph_, ws->seeds, sub_options, ws);
+  const std::vector<double>* costs = &ws->node_costs;
+  if (whole_graph_ != nullptr) {
+    // Whole-graph mode: extraction would return the seed's whole component
+    // every time, so every user adopts the one Fit-time payload instead —
+    // no BFS, no induced-CSR rebuild, no cache traffic, no plan or cost
+    // build. TopKFromWalk/ScoresFromWalk drop items outside the user's
+    // component.
+    ws->AdoptSharedSubgraph(whole_graph_->sub);
+    costs = &whole_graph_->node_costs;
   } else {
-    ExtractSubgraphInto(graph_, ws->seeds, sub_options, ws);
+    SubgraphOptions sub_options;
+    sub_options.max_items = options_.max_subgraph_items;
+    // Subgraph extraction is a pure function of (graph, seeds, µ), so a
+    // cached extraction — possibly inserted by a sibling recommender
+    // fitted on the same dataset — is adopted verbatim; the walk below is
+    // bit-identical either way. The cache's single-flight front door also
+    // coalesces concurrent identical misses into one extraction.
+    if (cache != nullptr) {
+      cache->GetOrExtract(graph_, ws->seeds, sub_options, ws);
+    } else {
+      ExtractSubgraphInto(graph_, ws->seeds, sub_options, ws);
+    }
+    NodeCosts(ws->sub(), &ws->node_costs);
   }
   const Subgraph& sub = ws->sub();
   AbsorbingFlags(sub, user, &ws->absorbing);
-  NodeCosts(sub, &ws->node_costs);
   if (options_.exact) {
     LT_RETURN_IF_ERROR(AbsorbingValueExactInto(sub.graph, ws->absorbing,
-                                               ws->node_costs,
-                                               options_.solver, &ws->values,
-                                               &ws->solver));
+                                               *costs, options_.solver,
+                                               &ws->values, &ws->solver));
   } else {
     // Ranking sweep: TopKFromWalk/ScoresFromWalk consume item-side values
     // only, so the kernel runs the alternating half of the DP those values
@@ -200,7 +270,8 @@ Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
     // of ws->values hold intermediates and must not be read.
     if (sub.plan != nullptr) {
       // Warm path: the cache payload carries the plan built at admission
-      // (transitions + sweep-plan selection + layout binding). Adoption is
+      // (transitions + sweep-plan selection + layout binding), the
+      // whole-graph payload the plan built at Fit/LoadModel. Adoption is
       // two pointer stores — the query's only remaining per-node work is
       // the coefficient compile below. Bit-identical to the cold branch:
       // the admission build ran the same decision procedure on the same
@@ -214,10 +285,16 @@ Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
                                   WalkKernel::Normalization::kRowStochastic,
                                   sub.layout);
     }
-    ws->kernel.CompileAbsorbingSweep(ws->absorbing, ws->node_costs);
+    ws->kernel.CompileAbsorbingSweep(ws->absorbing, *costs);
     ws->kernel.SweepTruncatedItemValues(options_.iterations, &ws->values);
   }
   return Status::OK();
+}
+
+bool GraphRecommenderBase::InUserComponent(UserId user, ItemId item) const {
+  if (whole_graph_ == nullptr) return true;
+  const std::vector<int32_t>& component = whole_graph_->component;
+  return component[graph_.ItemNode(item)] == component[graph_.UserNode(user)];
 }
 
 Result<std::vector<ScoredItem>> GraphRecommenderBase::TopKFromWalk(
@@ -228,6 +305,7 @@ Result<std::vector<ScoredItem>> GraphRecommenderBase::TopKFromWalk(
   candidates.reserve(sub.items.size());
   for (size_t li = 0; li < sub.items.size(); ++li) {
     const ItemId item = sub.items[li];
+    if (!InUserComponent(user, item)) continue;
     if (data_->HasRating(user, item)) continue;
     const double value = ws.values[num_local_users + static_cast<int32_t>(li)];
     if (!std::isfinite(value)) continue;  // Unreachable from absorbing set.
@@ -237,7 +315,8 @@ Result<std::vector<ScoredItem>> GraphRecommenderBase::TopKFromWalk(
 }
 
 Result<std::vector<double>> GraphRecommenderBase::ScoresFromWalk(
-    std::span<const ItemId> items, const WalkWorkspace& ws) const {
+    UserId user, std::span<const ItemId> items,
+    const WalkWorkspace& ws) const {
   const Subgraph& sub = ws.sub();
   std::vector<double> scores(items.size(), kUnreachableScore);
   for (size_t k = 0; k < items.size(); ++k) {
@@ -245,6 +324,7 @@ Result<std::vector<double>> GraphRecommenderBase::ScoresFromWalk(
     if (item < 0 || item >= data_->num_items()) {
       return Status::OutOfRange("candidate item id out of range");
     }
+    if (!InUserComponent(user, item)) continue;  // Unreachable.
     const NodeId local = sub.LocalItemNode(item);
     if (local < 0) continue;  // Outside the subgraph: unreachable.
     const double value = ws.values[local];
@@ -264,7 +344,7 @@ Result<std::vector<double>> GraphRecommenderBase::ScoreItems(
     UserId user, std::span<const ItemId> items) const {
   WalkWorkspace& ws = LocalWorkspace();
   LT_RETURN_IF_ERROR(ComputeWalk(user, &ws, /*cache=*/nullptr));
-  return ScoresFromWalk(items, ws);
+  return ScoresFromWalk(user, items, ws);
 }
 
 void GraphRecommenderBase::ServeFromWalk(const UserQuery& query,
@@ -279,7 +359,7 @@ void GraphRecommenderBase::ServeFromWalk(const UserQuery& query,
     out->top_k = std::move(top).value();
   }
   if (!query.score_items.empty()) {
-    auto scores = ScoresFromWalk(query.score_items, ws);
+    auto scores = ScoresFromWalk(query.user, query.score_items, ws);
     if (!scores.ok()) {
       out->status = scores.status();
       return;

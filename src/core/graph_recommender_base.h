@@ -3,8 +3,12 @@
 // Query flow (Algorithm 1): seed nodes → BFS subgraph capped at µ item
 // nodes → truncated DP for τ iterations on the workspace's WalkKernel
 // (the item-side ranking sweep; an exact linear solve when configured)
-// → rank items by smallest time/cost. See docs/ARCHITECTURE.md for the
-// full serving pipeline and docs/KERNELS.md for the kernel.
+// → rank items by smallest time/cost. When µ cannot cap (µ <= 0 or µ >=
+// the catalog size) the BFS subgraph is always the user's whole connected
+// component, so every query instead sweeps one whole-graph plan built at
+// Fit/LoadModel and filters items by component label. See
+// docs/ARCHITECTURE.md for the full serving pipeline and docs/KERNELS.md
+// for the kernel.
 //
 // All query state lives in a WalkWorkspace, so the per-query walk performs
 // no global-sized heap allocation in the steady state. Every thread —
@@ -18,6 +22,7 @@
 #ifndef LONGTAIL_CORE_GRAPH_RECOMMENDER_BASE_H_
 #define LONGTAIL_CORE_GRAPH_RECOMMENDER_BASE_H_
 
+#include <memory>
 #include <vector>
 
 #include "core/recommender.h"
@@ -32,7 +37,10 @@ struct GraphWalkOptions {
   /// τ: truncated-DP sweeps (paper default 15, §5.2.2).
   int iterations = 15;
   /// µ: BFS subgraph cap on item nodes (paper default 6000, §5.2.2).
-  /// <= 0 disables the cap (whole reachable component).
+  /// µ <= 0 or µ >= the catalog size cannot cap: the BFS subgraph would be
+  /// the user's whole component on every query, so Fit/LoadModel build one
+  /// whole-graph plan that every query sweeps — no per-query extraction,
+  /// and a BatchOptions::subgraph_cache is never consulted.
   int32_t max_subgraph_items = 6000;
   /// Edge weight = rating (paper) vs 1.0 (ablation).
   bool weighted_edges = true;
@@ -56,14 +64,16 @@ class GraphRecommenderBase : public Recommender {
   /// Runs one walk for `user` and returns up to `k` unrated items ranked
   /// by smallest time/cost (ScoredItem::score is the negated walk value,
   /// so larger = better as everywhere else). Items outside the extracted
-  /// subgraph or unreachable from the absorbing set are never returned.
+  /// subgraph (in whole-graph mode: outside the user's connected
+  /// component) or unreachable from the absorbing set are never returned.
   /// FailedPrecondition for unfitted models and cold-start users.
   Result<std::vector<ScoredItem>> RecommendTopK(UserId user,
                                                 int k) const override;
 
   /// Scores an explicit candidate list from one walk; aligned with
-  /// `items`. Candidates outside the subgraph (or unreachable) get
-  /// kUnreachableScore; out-of-range ids fail with OutOfRange.
+  /// `items`. Candidates outside the subgraph or the user's component (or
+  /// unreachable) get kUnreachableScore; out-of-range ids fail with
+  /// OutOfRange.
   Result<std::vector<double>> ScoreItems(
       UserId user, std::span<const ItemId> items) const override;
 
@@ -74,7 +84,8 @@ class GraphRecommenderBase : public Recommender {
   /// fan out on the long-lived ServingPool with one pinned WalkWorkspace
   /// per worker thread. A failed walk fails every member with the same
   /// status. Results are bit-identical to the sequential per-user calls at
-  /// any thread count, with or without a subgraph cache.
+  /// any thread count, with or without a subgraph cache (which whole-graph
+  /// mode never consults).
   std::vector<UserQueryResult> QueryBatch(
       std::span<const UserQuery> queries,
       const BatchOptions& options = {}) const override;
@@ -115,7 +126,9 @@ class GraphRecommenderBase : public Recommender {
   /// subgraph's node count): the cost a walker pays per step leaving each
   /// node. Default unit cost — values become expected steps (absorbing
   /// *time*); AC1/AC2 override with the Eq. 9 entropy costs (absorbing
-  /// *cost*). Entries for absorbing nodes are ignored.
+  /// *cost*). Entries for absorbing nodes are ignored. Must not depend on
+  /// the query user: whole-graph mode evaluates it once, at Fit/LoadModel,
+  /// and every query reuses the result.
   virtual void NodeCosts(const Subgraph& sub,
                          std::vector<double>* costs) const;
 
@@ -137,9 +150,21 @@ class GraphRecommenderBase : public Recommender {
   GraphWalkOptions options_;
 
  private:
-  /// Runs Algorithm 1 for one user: subgraph into ws->sub() (adopted from
-  /// `cache` on a hit, extracted — and inserted — on a miss; nullptr
-  /// disables caching), walk values into ws->values. On the default
+  /// The fitted graph as one immutable identity payload (users and items
+  /// as 0..n-1, node index and row-stochastic WalkPlan), with the node
+  /// costs and per-node connected-component labels every query shares.
+  struct WholeGraphPlan;
+
+  /// Builds whole_graph_ when µ cannot cap (see
+  /// GraphWalkOptions::max_subgraph_items), resets it otherwise. Runs at
+  /// the end of Fit and LoadModel, once subclass state (AC entropies) is
+  /// in place, since NodeCosts is evaluated here once for every query.
+  void BuildWholeGraphPlan();
+
+  /// Runs Algorithm 1 for one user: subgraph into ws->sub() (the shared
+  /// whole-graph payload when µ cannot cap; otherwise adopted from `cache`
+  /// on a hit, extracted — and inserted — on a miss; nullptr disables
+  /// caching), walk values into ws->values. On the default
   /// truncated path only the item rows (local ids >= sub().users.size())
   /// are valid — the kernel's ranking sweep leaves user rows as
   /// intermediates — and all values are finite; the exact path fills
@@ -152,10 +177,19 @@ class GraphRecommenderBase : public Recommender {
   /// already in `ws` (every member of a QueryBatch user group).
   void ServeFromWalk(const UserQuery& query, const WalkWorkspace& ws,
                      UserQueryResult* out) const;
+  /// False for items outside `user`'s connected component in whole-graph
+  /// mode, which a per-query extraction would never have reached; true
+  /// whenever µ caps (the extracted subgraph already bounds the walk).
+  bool InUserComponent(UserId user, ItemId item) const;
   Result<std::vector<ScoredItem>> TopKFromWalk(UserId user, int k,
                                                const WalkWorkspace& ws) const;
-  Result<std::vector<double>> ScoresFromWalk(std::span<const ItemId> items,
+  Result<std::vector<double>> ScoresFromWalk(UserId user,
+                                             std::span<const ItemId> items,
                                              const WalkWorkspace& ws) const;
+
+  /// Non-null exactly when µ cannot cap; immutable once built, so every
+  /// pool worker sweeps it concurrently.
+  std::shared_ptr<const WholeGraphPlan> whole_graph_;
 };
 
 }  // namespace longtail

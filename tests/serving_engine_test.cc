@@ -76,8 +76,8 @@ class ServingEngineTest : public ::testing::Test {
   }
 
   /// One fitted AT walker (the cheapest fit) for single-model tests.
-  static std::unique_ptr<Recommender> FittedAt() {
-    auto at = std::make_unique<AbsorbingTimeRecommender>();
+  static std::unique_ptr<Recommender> FittedAt(GraphWalkOptions walk = {}) {
+    auto at = std::make_unique<AbsorbingTimeRecommender>(walk);
     EXPECT_TRUE(at->Fit(*data_).ok());
     return at;
   }
@@ -176,9 +176,13 @@ TEST_F(ServingEngineTest, EngineResultsBitIdenticalToDirectQueryBatch) {
 
 // N identical cold queries through the engine perform exactly one subgraph
 // extraction and one cache lookup: QueryBatch groups the batch by user
-// before the cache is consulted and runs one walk for all N queries.
+// before the cache is consulted and runs one walk for all N queries. µ is
+// capped below the corpus's 70 items: at µ >= the catalog size the walker
+// sweeps its Fit-time whole-graph plan and never consults the cache.
 TEST_F(ServingEngineTest, IdenticalConcurrentColdQueriesExtractOnce) {
-  auto at = FittedAt();
+  GraphWalkOptions capped;
+  capped.max_subgraph_items = 35;
+  auto at = FittedAt(capped);
   SubgraphCache cache;
   ServingEngineOptions options;
   options.max_batch_size = 32;

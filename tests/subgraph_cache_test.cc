@@ -44,12 +44,22 @@ class SubgraphCacheTest : public ::testing::Test {
     data_ = nullptr;
   }
 
+  /// µ below the corpus's 80 items. At µ >= the catalog size every query
+  /// sweeps the Fit-time whole-graph plan and never consults the cache, so
+  /// the walkers here cap µ to keep the cache in play.
+  static GraphWalkOptions CappedWalk() {
+    GraphWalkOptions walk;
+    walk.max_subgraph_items = 40;
+    return walk;
+  }
+
   /// The five walk/graph algorithms named by the parity requirement.
   static std::vector<std::unique_ptr<Recommender>> BuildSuite() {
     std::vector<std::unique_ptr<Recommender>> suite;
-    suite.push_back(std::make_unique<HittingTimeRecommender>());
-    suite.push_back(std::make_unique<AbsorbingTimeRecommender>());
+    suite.push_back(std::make_unique<HittingTimeRecommender>(CappedWalk()));
+    suite.push_back(std::make_unique<AbsorbingTimeRecommender>(CappedWalk()));
     AbsorbingCostOptions ac;
+    ac.walk = CappedWalk();
     ac.lda.num_topics = 4;
     ac.lda.iterations = 15;
     suite.push_back(std::make_unique<AbsorbingCostRecommender>(
@@ -144,9 +154,10 @@ TEST_F(SubgraphCacheTest, CachedBatchesAreBitIdenticalToUncached) {
 // the same dataset, so one cache serves all three: after AT fills it, an
 // AC1 batch is all hits — extraction work is shared across recommenders.
 TEST_F(SubgraphCacheTest, ExtractionsAreSharedAcrossRecommenders) {
-  AbsorbingTimeRecommender at;
+  AbsorbingTimeRecommender at(CappedWalk());
   ASSERT_TRUE(at.Fit(*data_).ok());
   AbsorbingCostOptions ac_options;
+  ac_options.walk = CappedWalk();
   ac_options.lda.num_topics = 4;
   ac_options.lda.iterations = 15;
   AbsorbingCostRecommender ac1(EntropySource::kItemBased, ac_options);
@@ -175,8 +186,8 @@ TEST_F(SubgraphCacheTest, ExtractionsAreSharedAcrossRecommenders) {
 // HT seeds differ from AT seeds for the same user (query-user node vs.
 // user + S_q), so the two must never share entries even on one dataset.
 TEST_F(SubgraphCacheTest, DifferentSeedSetsNeverCollide) {
-  HittingTimeRecommender ht;
-  AbsorbingTimeRecommender at;
+  HittingTimeRecommender ht(CappedWalk());
+  AbsorbingTimeRecommender at(CappedWalk());
   ASSERT_TRUE(ht.Fit(*data_).ok());
   ASSERT_TRUE(at.Fit(*data_).ok());
   const std::vector<UserQuery> queries = TestQueries({});

@@ -187,7 +187,11 @@ Dataset* WarmPathCacheTest::data_ = nullptr;
 // This test fails on the pre-plan hit path, whose deep-copy AdoptSubgraph
 // copied the payload's induced graph into the workspace on every hit.
 TEST_F(WarmPathCacheTest, WarmQueryPerformsZeroGraphCopies) {
-  HittingTimeRecommender ht;
+  // µ below the corpus's 90 items: at µ >= the catalog size the walker
+  // sweeps its Fit-time whole-graph plan and never consults the cache.
+  GraphWalkOptions capped;
+  capped.max_subgraph_items = 45;
+  HittingTimeRecommender ht(capped);
   ASSERT_TRUE(ht.Fit(*data_).ok());
   const std::vector<ItemId> candidates = {0, 2, 5, 9};
   std::vector<UserQuery> queries;
