@@ -223,16 +223,22 @@ Status GraphRecommenderBase::LoadModel(CheckpointReader& reader,
   return Status::OK();
 }
 
-Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
-                                         SubgraphCache* cache) const {
+Status GraphRecommenderBase::CheckSeeds(UserId user,
+                                        std::vector<NodeId>* seeds) const {
   LT_RETURN_IF_ERROR(CheckQueryUser(data_, user));
-  ws->seeds.clear();
-  LT_RETURN_IF_ERROR(SeedNodes(user, &ws->seeds));
-  if (ws->seeds.empty()) {
+  seeds->clear();
+  LT_RETURN_IF_ERROR(SeedNodes(user, seeds));
+  if (seeds->empty()) {
     return Status::FailedPrecondition(
         "no seed nodes for user " + std::to_string(user) +
         " (cold-start users cannot be served by graph recommenders)");
   }
+  return Status::OK();
+}
+
+Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
+                                         SubgraphCache* cache) const {
+  LT_RETURN_IF_ERROR(CheckSeeds(user, &ws->seeds));
   const std::vector<double>* costs = &ws->node_costs;
   if (whole_graph_ != nullptr) {
     // Whole-graph mode: extraction would return the seed's whole component
@@ -395,30 +401,94 @@ std::vector<UserQueryResult> GraphRecommenderBase::QueryBatch(
     }
   }
   group_begin.push_back(order.size());
+  const auto user_of = [&](size_t g) {
+    return queries[order[group_begin[g]]].user;
+  };
+  const auto observe = [&](size_t served) {
+    if (options.fused_width_observer != nullptr) {
+      (*options.fused_width_observer)(static_cast<int32_t>(served));
+    }
+  };
+  const auto serve = [&](size_t g, const WalkWorkspace& ws) {
+    for (size_t j = group_begin[g]; j < group_begin[g + 1]; ++j) {
+      ServeFromWalk(queries[order[j]], ws, &results[order[j]]);
+    }
+  };
+  const auto fail = [&](size_t g, const Status& st) {
+    for (size_t j = group_begin[g]; j < group_begin[g + 1]; ++j) {
+      results[order[j]].status = st;
+    }
+  };
   ServingPool& pool =
       options.pool != nullptr ? *options.pool : ServingPool::Global();
-  // One task per distinct user, claimed one at a time (grain 1) so skewed
-  // subgraph sizes stay balanced, each on its thread's pinned workspace:
-  // the user's walk runs once and serves every member, which is
+
+  // The user groups to walk, in user order. In whole-graph mode every
+  // distinct user adopts the same plan, so the truncated walker sweeps
+  // them kLanes at a time: one pass over the edge stream serves a whole
+  // lane group, each lane bit-identical to its own walk. Lanes run only
+  // when every worker gets a lane group; the remaining users (fewer than
+  // kLanes) and every other mode walk one user per task.
+  constexpr size_t kLanes = WalkKernel::kLanes;
+  std::vector<size_t> walks(group_begin.size() - 1);
+  std::iota(walks.begin(), walks.end(), 0);
+  const size_t workers = std::max<size_t>(
+      1, options.num_threads != 0 ? options.num_threads : pool.num_threads());
+  size_t lane_groups = 0;
+  if (whole_graph_ != nullptr && !options_.exact &&
+      walks.size() >= kLanes * workers) {
+    // Validate before grouping, so a failing user fails only its own
+    // members and never its lane-mates.
+    std::vector<NodeId> seeds;
+    size_t valid = 0;
+    for (size_t g : walks) {
+      const Status st = CheckSeeds(user_of(g), &seeds);
+      if (st.ok()) {
+        walks[valid++] = g;
+      } else {
+        fail(g, st);
+      }
+    }
+    walks.resize(valid);
+    if (valid >= kLanes * workers) lane_groups = valid / kLanes;
+  }
+  const size_t singles = walks.size() - lane_groups * kLanes;
+
+  // One task per lane group or single user, claimed one at a time (grain
+  // 1) so skewed subgraph sizes stay balanced, each on its thread's pinned
+  // workspace: a walk runs once and serves every member of its user(s),
   // bit-identical to each member's own sequential call.
   pool.ParallelFor(
-      group_begin.size() - 1,
-      [&](size_t g) {
-        const size_t* members = order.data() + group_begin[g];
-        const size_t count = group_begin[g + 1] - group_begin[g];
+      lane_groups + singles,
+      [&](size_t task) {
         WalkWorkspace& ws = LocalWorkspace();
-        const Status st = ComputeWalk(queries[members[0]].user, &ws,
-                                      options.subgraph_cache);
-        if (!st.ok()) {
-          for (size_t m = 0; m < count; ++m) results[members[m]].status = st;
+        if (task < lane_groups) {
+          const size_t* lanes = walks.data() + task * kLanes;
+          ws.AdoptSharedSubgraph(whole_graph_->sub);
+          const Subgraph& sub = ws.sub();
+          size_t served = 0;
+          for (size_t l = 0; l < kLanes; ++l) {
+            AbsorbingFlags(sub, user_of(lanes[l]), &ws.lane_absorbing[l]);
+            served += group_begin[lanes[l] + 1] - group_begin[lanes[l]];
+          }
+          ws.kernel.AdoptPlan(sub.plan);
+          ws.kernel.CompileAbsorbingLanes(ws.lane_absorbing,
+                                          whole_graph_->node_costs);
+          ws.kernel.SweepTruncatedItemValuesLanes(options_.iterations);
+          observe(served);
+          for (size_t l = 0; l < kLanes; ++l) {
+            ws.kernel.LaneValues(static_cast<int>(l), &ws.values);
+            serve(lanes[l], ws);
+          }
           return;
         }
-        if (options.fused_width_observer != nullptr) {
-          (*options.fused_width_observer)(static_cast<int32_t>(count));
+        const size_t g = walks[lane_groups * kLanes + (task - lane_groups)];
+        const Status st = ComputeWalk(user_of(g), &ws, options.subgraph_cache);
+        if (!st.ok()) {
+          fail(g, st);
+          return;
         }
-        for (size_t m = 0; m < count; ++m) {
-          ServeFromWalk(queries[members[m]], ws, &results[members[m]]);
-        }
+        observe(group_begin[g + 1] - group_begin[g]);
+        serve(g, ws);
       },
       options.num_threads, /*grain=*/1);
   return results;

@@ -14,7 +14,8 @@
 // no global-sized heap allocation in the steady state. Every thread —
 // single-user callers and serving-pool workers alike — pins one
 // thread-local workspace; QueryBatch runs one walk per distinct user in the
-// batch, fans those walks out over the process-lifetime ServingPool (no
+// batch (in whole-graph mode, one 8-lane sweep per eight distinct users),
+// fans those walks out over the process-lifetime ServingPool (no
 // per-batch thread spawn, workspaces stay warm across batches), serves the
 // top-k and candidate-scoring halves of every query for that user from the
 // single walk, and can reuse extracted subgraphs through a shared
@@ -83,9 +84,19 @@ class GraphRecommenderBase : public Recommender {
   /// member (its own top_k and score list) from that walk. Distinct users
   /// fan out on the long-lived ServingPool with one pinned WalkWorkspace
   /// per worker thread. A failed walk fails every member with the same
-  /// status. Results are bit-identical to the sequential per-user calls at
-  /// any thread count, with or without a subgraph cache (which whole-graph
-  /// mode never consults).
+  /// status.
+  ///
+  /// In whole-graph mode the truncated walkers share one plan, so when the
+  /// batch holds at least WalkKernel::kLanes × workers distinct users they
+  /// are validated first (an invalid user fails only its own members),
+  /// then swept kLanes = 8 at a time: one pass over the edge stream per
+  /// lane group, after which each lane's values serve that user's members
+  /// unchanged. The fewer than 8 users left over, smaller batches, the
+  /// capped-µ path and the exact solver walk one user per task.
+  ///
+  /// Results are bit-identical to the sequential per-user calls at any
+  /// thread count, with or without lanes or a subgraph cache (which
+  /// whole-graph mode never consults).
   std::vector<UserQueryResult> QueryBatch(
       std::span<const UserQuery> queries,
       const BatchOptions& options = {}) const override;
@@ -161,6 +172,9 @@ class GraphRecommenderBase : public Recommender {
   /// in place, since NodeCosts is evaluated here once for every query.
   void BuildWholeGraphPlan();
 
+  /// The query-validity half of ComputeWalk: the user must be a fitted,
+  /// in-range user with a non-empty seed set (written to `*seeds`).
+  Status CheckSeeds(UserId user, std::vector<NodeId>* seeds) const;
   /// Runs Algorithm 1 for one user: subgraph into ws->sub() (the shared
   /// whole-graph payload when µ cannot cap; otherwise adopted from `cache`
   /// on a hit, extracted — and inserted — on a miss; nullptr disables

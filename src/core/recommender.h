@@ -68,12 +68,13 @@ struct BatchOptions {
   /// (tests/subgraph_cache_test.cc). Other recommenders ignore it. The
   /// cache may be shared across recommenders and concurrent batches.
   SubgraphCache* subgraph_cache = nullptr;
-  /// Optional observer invoked once per walk a graph recommender runs,
-  /// with the number of queries that walk served (duplicates of one user
-  /// in a batch share a walk; failed walks are not observed). May be
-  /// called concurrently from pool workers; the ServingEngine points this
-  /// at its longtail_engine_fused_width histogram. Not called by
-  /// non-graph recommenders.
+  /// Optional observer invoked once per sweep a graph recommender runs,
+  /// with the number of queries that sweep served: duplicates of one user
+  /// in a batch share a walk, and a whole-graph lane group sweeps eight
+  /// distinct users at once (so up to 8 × their duplicates); failed walks
+  /// are not observed. May be called concurrently from pool workers; the
+  /// ServingEngine points this at its longtail_engine_fused_width
+  /// histogram. Not called by non-graph recommenders.
   const std::function<void(int32_t width)>* fused_width_observer = nullptr;
 };
 

@@ -23,6 +23,7 @@
 #ifndef LONGTAIL_GRAPH_SUBGRAPH_H_
 #define LONGTAIL_GRAPH_SUBGRAPH_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -215,6 +216,8 @@ class WalkWorkspace {
   // these buffers across queries.
   std::vector<NodeId> seeds;
   std::vector<bool> absorbing;
+  /// Per-lane absorbing flags of a whole-graph lane group (QueryBatch).
+  std::array<std::vector<bool>, WalkKernel::kLanes> lane_absorbing;
   std::vector<double> node_costs;
   std::vector<double> values;
   std::vector<double> dp_scratch;

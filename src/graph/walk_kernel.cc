@@ -1,6 +1,7 @@
 #include "graph/walk_kernel.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
@@ -68,6 +69,21 @@ size_t WalkKernel::SimplePlanMaxValueBytes() {
 }
 
 int32_t WalkKernel::BlockedPlanRowTile() { return RowTileForL1(); }
+
+static_assert(WalkKernel::kLanes == internal::kLaneWidth,
+              "the lane row pass and the kernel must agree on the width");
+
+namespace {
+
+/// The first 64-byte-aligned double of a lane block allocated with
+/// WalkKernel::kLanes slack doubles.
+double* AlignedLaneBlock(std::vector<double>& block) {
+  const uintptr_t addr = reinterpret_cast<uintptr_t>(block.data());
+  const uintptr_t pad = (64 - addr % 64) % 64;
+  return block.data() + pad / sizeof(double);
+}
+
+}  // namespace
 
 WalkKernel::WalkKernel() : isa_(internal::ActiveWalkKernelIsa()) {}
 
@@ -310,6 +326,35 @@ void WalkKernel::CompileAbsorbingSweep(const std::vector<bool>& absorbing,
   }
 }
 
+void WalkKernel::CompileAbsorbingLanes(
+    std::span<const std::vector<bool>> absorbing,
+    const std::vector<double>& node_cost) {
+  LT_CHECK(plan_ != nullptr) << "BuildTransitions/AdoptPlan must run first";
+  const WalkPlan& p = *plan_;
+  // norm_fly_ is exactly "identity order, row-stochastic": the lane pass
+  // normalizes on the fly and indexes values by original node id.
+  LT_CHECK(p.norm_fly_)
+      << "lane sweeps need an identity-order row-stochastic plan";
+  LT_CHECK_LE(absorbing.size(), static_cast<size_t>(kLanes));
+  const int32_t n = p.num_nodes_;
+  LT_CHECK_EQ(static_cast<size_t>(n), node_cost.size());
+  for (const std::vector<bool>& lane : absorbing) {
+    LT_CHECK_EQ(static_cast<size_t>(n), lane.size());
+  }
+  lane_absorbing_.resize(n);
+  lane_cost_ = node_cost.data();
+  const unsigned used = (1u << absorbing.size()) - 1;
+  const uint8_t padding =
+      static_cast<uint8_t>(((1u << kLanes) - 1) & ~used);
+  for (int32_t v = 0; v < n; ++v) {
+    uint8_t mask = padding;
+    for (size_t l = 0; l < absorbing.size(); ++l) {
+      if (absorbing[l][v]) mask |= static_cast<uint8_t>(1u << l);
+    }
+    lane_absorbing_[v] = mask;
+  }
+}
+
 void WalkKernel::PrefetchRows(int32_t lo, int32_t hi) const {
 #if defined(__GNUC__) || defined(__clang__)
   // Warm the next tile's column-index and value strips while the current
@@ -388,6 +433,21 @@ void WalkKernel::RunFusedRange(int32_t lo, int32_t hi, double* x) const {
       isa_->absorbing_rows_fused(b, b_end, p.ptr_, p.col_, p.prob_data_, add,
                                  scale, self, x);
     }
+  }
+}
+
+void WalkKernel::RunLanesRange(int32_t lo, int32_t hi, bool double_step,
+                               double* x) const {
+  const WalkPlan& p = *plan_;
+  const int32_t tile = p.row_tile_ > 0 ? p.row_tile_ : hi - lo;
+  for (int32_t b = lo; b < hi; b += tile) {
+    const int32_t b_end = b + tile < hi ? b + tile : hi;
+    if (b_end < hi) {
+      PrefetchRows(b_end, b_end + tile < hi ? b_end + tile : hi);
+    }
+    isa_->absorbing_rows_norm_lanes(b, b_end, p.ptr_, p.col_, p.w_, p.wdeg_,
+                                    lane_cost_, lane_absorbing_.data(),
+                                    double_step, x);
   }
 }
 
@@ -470,6 +530,35 @@ void WalkKernel::SweepTruncatedItemValues(int iterations,
     double* out = value->data();
     for (int32_t v = 0; v < n; ++v) out[v] = x[p.perm_[v]];
   }
+}
+
+void WalkKernel::SweepTruncatedItemValuesLanes(int iterations) const {
+  LT_CHECK(plan_ != nullptr) << "BuildTransitions/AdoptPlan must run first";
+  const WalkPlan& p = *plan_;
+  const int32_t n = p.num_nodes_;
+  LT_CHECK(lane_cost_ != nullptr &&
+           lane_absorbing_.size() == static_cast<size_t>(n))
+      << "CompileAbsorbingLanes must run first";
+  lane_x_.assign((static_cast<size_t>(n) + 1) * kLanes, 0.0);
+  double* x = AlignedLaneBlock(lane_x_);
+  // The same alternating chain as SweepTruncatedItemValues, every lane at
+  // once: one side per step, a single DP iteration first, then doubles.
+  const int32_t num_users = p.graph_->num_users();
+  for (int t = 1; t <= iterations; ++t) {
+    const bool item_side = ((iterations - t) & 1) == 0;
+    RunLanesRange(item_side ? num_users : 0, item_side ? n : num_users,
+                  /*double_step=*/t > 1, x);
+  }
+}
+
+void WalkKernel::LaneValues(int lane, std::vector<double>* value) const {
+  LT_CHECK(lane >= 0 && lane < kLanes) << "lane " << lane;
+  const size_t n = lane_absorbing_.size();
+  LT_CHECK_EQ((n + 1) * kLanes, lane_x_.size())
+      << "SweepTruncatedItemValuesLanes must run first";
+  value->resize(n);
+  const double* x = AlignedLaneBlock(lane_x_) + lane;
+  for (size_t v = 0; v < n; ++v) (*value)[v] = x[v * kLanes];
 }
 
 void WalkKernel::Apply(double alpha, const double* x, double beta,

@@ -33,6 +33,12 @@
 //    (absorbing: add=scale=self=0 pins the value at exactly 0; isolated
 //    transient: scale=0, self=1 accumulates cost forever; ordinary rows:
 //    scale=1, self=0).
+//  * CompileAbsorbingLanes / SweepTruncatedItemValuesLanes run the ranking
+//    sweep for up to kLanes = 8 queries that share one identity-order plan
+//    (whole-graph mode, where every user adopts the same Fit-time plan):
+//    one pass over the edge stream serves all lanes, values interleaved
+//    x[v·8 + lane], each lane bit-identical to its own
+//    SweepTruncatedItemValues. See docs/KERNELS.md "Lane sweeps".
 //  * SweepTruncated / Apply run the sweep as a blocked, 4-way-unrolled
 //    gather over the transition CSR. The gather is *runtime-dispatched*:
 //    one portable binary carries both a scalar flavour and an AVX2 flavour
@@ -60,6 +66,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -313,6 +320,32 @@ class WalkKernel {
   void SweepTruncatedItemValues(int iterations,
                                 std::vector<double>* value) const;
 
+  /// Queries one lane sweep advances together.
+  static constexpr int kLanes = 8;
+
+  /// Lane flavour of CompileAbsorbingSweep: compiles up to kLanes queries
+  /// that share this plan and their node costs (lane l absorbs where
+  /// absorbing[l] is set; lanes past absorbing.size() are padding that
+  /// absorbs everywhere). Per-lane state is one absorbing-lane bit per
+  /// node; the sweep reads `node_cost` in place (no per-kernel coefficient
+  /// copy), so it must outlive the next SweepTruncatedItemValuesLanes.
+  /// Valid only on identity-order row-stochastic plans (checked).
+  /// O(nodes · lanes).
+  void CompileAbsorbingLanes(std::span<const std::vector<bool>> absorbing,
+                             const std::vector<double>& node_cost);
+
+  /// Runs SweepTruncatedItemValues for every compiled lane in one pass per
+  /// step: each edge's column and w·(1/d) are read once for all lanes,
+  /// and each gather reads one contiguous block of the lanes' values. A row
+  /// is skipped only when every lane absorbs it. Lane l's values
+  /// (LaneValues) are bit-identical to SweepTruncatedItemValues after
+  /// CompileAbsorbingSweep(absorbing[l], node_cost), user rows included.
+  void SweepTruncatedItemValuesLanes(int iterations) const;
+
+  /// Copies lane `lane`'s values from the last lane sweep into `*value`
+  /// (resized to num_nodes).
+  void LaneValues(int lane, std::vector<double>* value) const;
+
   /// One power-iteration step over the transition CSR:
   ///     y[v] = alpha·⟨prob_row(v), x⟩ + beta·restart[v]
   /// (`restart == nullptr` drops the second term). With kColumnStochastic
@@ -341,6 +374,9 @@ class WalkKernel {
                          double* nxt) const;
   /// Same for the ranking sweep's in-place double-step pass.
   void RunFusedRange(int32_t lo, int32_t hi, double* x) const;
+  /// Same for the lane sweep (single step, or double when `double_step`).
+  void RunLanesRange(int32_t lo, int32_t hi, bool double_step,
+                     double* x) const;
   /// Prefetches the col/prob strips of sweep-space rows [lo, hi).
   void PrefetchRows(int32_t lo, int32_t hi) const;
 
@@ -363,6 +399,14 @@ class WalkKernel {
   std::vector<double> add_;    // constant term (0 for absorbing rows)
   std::vector<double> scale_;  // 1 ordinary row, 0 absorbing/isolated
   std::vector<double> self_;   // 1 isolated transient row, else 0
+  /// Lane sweeps: bit l set ⇔ the node absorbs for lane l, and the
+  /// caller's node costs; set by CompileAbsorbingLanes.
+  std::vector<uint8_t> lane_absorbing_;
+  const double* lane_cost_ = nullptr;
+  /// Interleaved lane values x[v·kLanes + l], kLanes slack doubles so the
+  /// block can start on a 64-byte line: every gather then reads exactly
+  /// one cache line.
+  mutable std::vector<double> lane_x_;
   /// Permuted-space sweep buffers (reordered plans only). Mutable because
   /// sweeps are logically const — the kernel is single-owner per worker.
   mutable std::vector<double> pval_;

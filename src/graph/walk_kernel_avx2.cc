@@ -79,6 +79,7 @@ const WalkKernelIsa* Avx2WalkKernelIsa() {
                                         &AbsorbingRowsFused,
                                         &AbsorbingRowsNorm,
                                         &AbsorbingRowsFusedNorm,
+                                        &AbsorbingRowsNormLanes,
                                         &ApplyRows};
   return &isa;
 }

@@ -56,6 +56,7 @@ const WalkKernelIsa* GenericWalkKernelIsa() {
                                         &AbsorbingRowsFused,
                                         &AbsorbingRowsNorm,
                                         &AbsorbingRowsFusedNorm,
+                                        &AbsorbingRowsNormLanes,
                                         &ApplyRows};
   return &isa;
 }

@@ -21,6 +21,9 @@
 namespace longtail {
 namespace internal {
 
+/// Queries one lane pass advances together (WalkKernel::kLanes).
+inline constexpr int kLaneWidth = 8;
+
 /// One instruction-set flavour of the kernel's hot row passes. All passes
 /// process local node rows [lo, hi) of a transition CSR (`ptr`, `col`,
 /// `prob`); callers own blocking and iteration structure.
@@ -70,6 +73,24 @@ struct WalkKernelIsa {
                                     const double* w, const double* wdeg,
                                     const double* add, const double* scale,
                                     const double* self, double* x);
+
+  /// Lane flavour of absorbing_rows_norm (`double_step` false) and
+  /// absorbing_rows_fused_norm (`double_step` true) for kLaneWidth queries
+  /// sharing one identity-order plan and one node-cost vector. Values are
+  /// interleaved x[v·kLaneWidth + l]; bit l of absorbing[v] marks v
+  /// absorbing for lane l. Every other lane gets the coefficients
+  /// CompileAbsorbingSweep gives a transient row: add = cost[v], and
+  /// scale = 1, self = 0 (scale = 0, self = 1 when wdeg[v] <= 0). Each
+  /// edge's w·(1/d) is formed once and multiplied into all lanes' values;
+  /// lane l accumulates, reduces and rounds exactly like the single-query
+  /// pass, and an absorbing lane writes +0.0. A row skips its gather only
+  /// when every lane absorbs it.
+  void (*absorbing_rows_norm_lanes)(int32_t lo, int32_t hi,
+                                    const int64_t* ptr, const NodeId* col,
+                                    const double* w, const double* wdeg,
+                                    const double* cost,
+                                    const uint8_t* absorbing,
+                                    bool double_step, double* x);
 
   /// Power-iteration pass: y[v] = alpha·⟨prob_row(v), x⟩ + beta·restart[v]
   /// (`restart == nullptr` drops the second term). `x` and `y` must not

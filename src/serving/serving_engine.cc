@@ -161,11 +161,12 @@ void ServingEngine::RegisterEngineMetrics() {
       "longtail_engine_queue_wait_ticks",
       "Per-request queue wait at dispatch, in ticks.",
       std::move(wait_bounds));
-  // Walk sharing: queries served per walk (1, 2, 4, ..., 32), observed
-  // after QueryBatch groups a micro-batch by user, so /metrics shows how
-  // often duplicate requests ride one walk.
+  // Sweep sharing: queries served per sweep (1, 2, 4, ..., 32), observed
+  // after QueryBatch groups a micro-batch by user (and, in whole-graph
+  // mode, distinct users into lane groups), so /metrics shows how often
+  // requests ride one sweep.
   fused_width_hist_ = metrics_->RegisterHistogram(
-      "longtail_engine_fused_width", "Queries served per walk.",
+      "longtail_engine_fused_width", "Queries served per sweep.",
       ExponentialBuckets(1.0, 2.0, 6));
   fused_width_observer_fn_ = [this](int32_t width) {
     fused_width_hist_->Observe(static_cast<double>(width));

@@ -273,10 +273,11 @@ class ServingEngine {
   /// Owned by the registry; observed on the dispatch path.
   Histogram* batch_size_hist_ = nullptr;
   Histogram* queue_wait_hist_ = nullptr;
-  /// Queries served per walk (longtail_engine_fused_width):
+  /// Queries served per sweep (longtail_engine_fused_width):
   /// batch_size_hist_ counts requests per micro-batch, this counts the
-  /// queries each walk served after QueryBatch groups them by user — the
-  /// pair separates queue tuning from duplicate sharing.
+  /// queries each sweep served after QueryBatch groups them by user (and
+  /// whole-graph lane groups) — the pair separates queue tuning from
+  /// sweep sharing.
   Histogram* fused_width_hist_ = nullptr;
   /// Bound once at construction and handed to every QueryBatch via
   /// BatchOptions::fused_width_observer (pool workers call it

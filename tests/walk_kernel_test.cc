@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -407,6 +409,142 @@ TEST(WalkKernelTest, RuntimeIsaDispatchBitIdenticalToGeneric) {
   for (int32_t v = 0; v < n; ++v) {
     EXPECT_EQ(ya[v], yb[v]) << "apply node " << v;
   }
+}
+
+// Lane sweeps: CompileAbsorbingLanes + SweepTruncatedItemValuesLanes run up
+// to eight queries over one identity-order plan in a single pass. Every
+// lane must be BIT-identical, on every node, to SweepTruncatedItemValues
+// for that lane's query on the same plan — whatever the other lanes
+// absorb. Covered: disjoint and overlapping absorbing sets, a lane whose
+// every item absorbs, an HT-style single-user lane, an empty absorbing
+// set, padding lanes, isolated transient nodes (self = 1), unit and
+// non-unit costs, τ ∈ {0, 1, 2, 15}, simple and blocked identity plans,
+// and the dispatched vs the generic ISA.
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+std::vector<std::vector<bool>> LaneAbsorbingSets(const BipartiteGraph& g,
+                                                 uint64_t seed) {
+  const int32_t n = g.num_nodes();
+  std::vector<std::vector<bool>> lanes;
+  lanes.push_back(RandomAbsorbing(n, 0.15, seed));
+  // Disjoint from lane 0.
+  std::vector<bool> disjoint = RandomAbsorbing(n, 0.2, seed + 1);
+  for (int32_t v = 0; v < n; ++v) {
+    if (lanes[0][v]) disjoint[v] = false;
+  }
+  lanes.push_back(disjoint);
+  // Overlapping lane 0: a superset of half of it plus fresh nodes.
+  std::vector<bool> overlap = RandomAbsorbing(n, 0.1, seed + 2);
+  for (int32_t v = 0; v < n; v += 2) {
+    if (lanes[0][v]) overlap[v] = true;
+  }
+  lanes.push_back(overlap);
+  // Every item absorbs.
+  std::vector<bool> all_items(n, false);
+  for (int32_t v = g.num_users(); v < n; ++v) all_items[v] = true;
+  lanes.push_back(all_items);
+  // HT-style: one user node absorbs.
+  std::vector<bool> one_user(n, false);
+  if (g.num_users() > 0) one_user[0] = true;
+  lanes.push_back(one_user);
+  // Nothing absorbs.
+  lanes.push_back(std::vector<bool>(n, false));
+  // AT-style: a user's rated items, for two more users.
+  for (UserId u : {1, 2}) {
+    std::vector<bool> rated(n, false);
+    if (u < g.num_users()) {
+      for (NodeId nbr : g.Neighbors(g.UserNode(u))) rated[nbr] = true;
+    }
+    lanes.push_back(rated);
+  }
+  return lanes;
+}
+
+TEST(WalkKernelTest, LaneSweepBitIdenticalPerLane) {
+  uint64_t seed = 52000;
+  struct Size {
+    int32_t users, items;
+    double density;
+  };
+  // The last size spans several L1 row tiles of the blocked plan.
+  for (const auto& [users, items, density] :
+       {Size{60, 70, 0.12}, Size{9, 13, 0.3}, Size{900, 700, 0.01}}) {
+    // Isolated users and items on both sides: rows with self = 1.
+    const BipartiteGraph g = RandomGraph(users, items, density, ++seed, 3, 4);
+    const int32_t n = g.num_nodes();
+    const auto lanes = LaneAbsorbingSets(g, seed += 10);
+    ASSERT_EQ(lanes.size(), static_cast<size_t>(WalkKernel::kLanes));
+    for (bool unit_cost : {true, false}) {
+      const std::vector<double> costs =
+          unit_cost ? std::vector<double>(n, 1.0) : RandomCosts(n, ++seed);
+      for (WalkKernel::SweepMode plan :
+           {WalkKernel::SweepMode::kSimple, WalkKernel::SweepMode::kBlocked}) {
+        for (bool generic : {false, true}) {
+          // Padding: compile 3 lanes, then all 8.
+          for (size_t width : {size_t{3}, lanes.size()}) {
+            WalkKernel single, laned;
+            single.ForcePlanForTesting(plan);
+            laned.ForcePlanForTesting(plan);
+            if (generic) laned.ForceGenericIsaForTesting();
+            single.BuildTransitions(g,
+                                    WalkKernel::Normalization::kRowStochastic);
+            laned.BuildTransitions(g,
+                                   WalkKernel::Normalization::kRowStochastic);
+            laned.CompileAbsorbingLanes(
+                std::span<const std::vector<bool>>(lanes.data(), width),
+                costs);
+            for (int tau : {0, 1, 2, 15}) {
+              laned.SweepTruncatedItemValuesLanes(tau);
+              const std::string label =
+                  std::string(laned.sweep_strategy()) +
+                  (generic ? "/generic " : " ") + std::to_string(users) +
+                  "x" + std::to_string(items) +
+                  (unit_cost ? " unit" : " costs") + " width " +
+                  std::to_string(width) + " tau " + std::to_string(tau);
+              std::vector<double> ref, got;
+              for (int l = 0; l < WalkKernel::kLanes; ++l) {
+                laned.LaneValues(l, &got);
+                ASSERT_EQ(got.size(), static_cast<size_t>(n)) << label;
+                if (static_cast<size_t>(l) >= width) {
+                  // Padding lanes absorb everywhere: exactly +0.0.
+                  for (int32_t v = 0; v < n; ++v) {
+                    EXPECT_EQ(Bits(got[v]), Bits(0.0))
+                        << label << " padding lane " << l << " node " << v;
+                  }
+                  continue;
+                }
+                single.CompileAbsorbingSweep(lanes[l], costs);
+                single.SweepTruncatedItemValues(tau, &ref);
+                for (int32_t v = 0; v < n; ++v) {
+                  EXPECT_EQ(Bits(ref[v]), Bits(got[v]))
+                      << label << " lane " << l << " node " << v;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Lane sweeps index values by original node id and normalize rows on the
+// fly, so a reordered plan is refused rather than swept wrongly.
+TEST(WalkKernelTest, LaneSweepRequiresIdentityOrderPlan) {
+  const BipartiteGraph g = RandomGraph(30, 40, 0.2, 53000);
+  const std::vector<std::vector<bool>> lanes(
+      2, std::vector<bool>(g.num_nodes(), false));
+  const std::vector<double> costs(g.num_nodes(), 1.0);
+  WalkKernel kernel;
+  kernel.ForcePlanForTesting(WalkKernel::SweepMode::kBlockedReordered);
+  kernel.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+  ASSERT_TRUE(kernel.reordered());
+  EXPECT_DEATH(kernel.CompileAbsorbingLanes(lanes, costs),
+               "identity-order row-stochastic plan");
 }
 
 // The three execution plans — simple flat loop, L1-blocked tiles, blocked
