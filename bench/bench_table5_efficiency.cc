@@ -18,7 +18,6 @@
 #include "bench/synthetic_walk_graph.h"
 
 #include <filesystem>
-#include <numeric>
 #include <thread>
 
 #include <future>
@@ -152,12 +151,6 @@ struct KernelTimings {
   double full_vs_reference_speedup = 0.0;
   /// Reference vs the cached-layout ranking path.
   double cached_speedup = 0.0;
-  /// Eight single ranking sweeps (AdoptPlan + compile + sweep), one per
-  /// absorbing set of the graph's eight busiest users, vs one 8-lane sweep
-  /// of the same eight sets (CompileAbsorbingLanes +
-  /// SweepTruncatedItemValuesLanes), both on the graph's identity-order
-  /// plan: the one whole-graph mode adopts, and the only one lanes accept.
-  double lanes8_speedup = 0.0;
 };
 
 /// Deepest cache level one value vector of `bytes` fits in.
@@ -170,31 +163,7 @@ const char* CacheLevelOf(size_t bytes) {
 }
 
 
-/// AT-style absorbing sets of the WalkKernel::kLanes busiest users of `g`
-/// (highest degree first, ties by id): each user's rated items absorb.
-std::vector<std::vector<bool>> BusiestUserAbsorbingSets(
-    const BipartiteGraph& g) {
-  std::vector<NodeId> users(g.num_users());
-  std::iota(users.begin(), users.end(), 0);
-  const size_t lanes =
-      std::min<size_t>(WalkKernel::kLanes, users.size());
-  std::partial_sort(users.begin(), users.begin() + lanes, users.end(),
-                    [&g](NodeId a, NodeId b) {
-                      return g.Degree(a) != g.Degree(b)
-                                 ? g.Degree(a) > g.Degree(b)
-                                 : a < b;
-                    });
-  std::vector<std::vector<bool>> sets;
-  for (size_t l = 0; l < lanes; ++l) {
-    std::vector<bool> absorbing(g.num_nodes(), false);
-    for (NodeId item : g.Neighbors(users[l])) absorbing[item] = true;
-    sets.push_back(std::move(absorbing));
-  }
-  return sets;
-}
-
-/// Times the four sweep configurations on one graph, plus the lane pair
-/// behind lanes8_speedup. Configurations are
+/// Times the four sweep configurations on one graph. Configurations are
 /// interleaved round-robin; absolute ns/iteration figures take the
 /// minimum window per configuration, while the speedup ratios take the
 /// *median of per-round ratios* — a round's four windows are adjacent in
@@ -231,20 +200,9 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
     return p;
   }();
   WalkKernel cached_kernel;
-  // Lanes need identity order; a reordered cached plan gets an identity
-  // sibling for the lane pair.
-  const std::shared_ptr<const WalkPlan> lane_plan =
-      !cached_plan->reordered() ? cached_plan : [&] {
-        auto p = std::make_shared<WalkPlan>();
-        p->Build(g, WalkNormalization::kRowStochastic);
-        return std::shared_ptr<const WalkPlan>(std::move(p));
-      }();
-  const std::vector<std::vector<bool>> lane_absorbing =
-      BusiestUserAbsorbingSets(g);
-  WalkKernel lane_kernel;
 
   std::vector<double> ref_t(rounds), full_t(rounds), rank_t(rounds),
-      cache_t(rounds), single8_t(rounds), lanes8_t(rounds);
+      cache_t(rounds);
   double checksum_ref = 0.0, checksum_full = 0.0;
   for (int round = 0; round < rounds; ++round) {
     {
@@ -285,26 +243,6 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
         cached_kernel.SweepTruncatedItemValues(tau, &value);
       }
       cache_t[round] = t.ElapsedSeconds();
-    }
-    {
-      WallTimer t;
-      for (int r = 0; r < reps; ++r) {
-        for (const std::vector<bool>& lane : lane_absorbing) {
-          cached_kernel.AdoptPlan(lane_plan);
-          cached_kernel.CompileAbsorbingSweep(lane, costs);
-          cached_kernel.SweepTruncatedItemValues(tau, &value);
-        }
-      }
-      single8_t[round] = t.ElapsedSeconds();
-    }
-    {
-      WallTimer t;
-      for (int r = 0; r < reps; ++r) {
-        lane_kernel.AdoptPlan(lane_plan);
-        lane_kernel.CompileAbsorbingLanes(lane_absorbing, costs);
-        lane_kernel.SweepTruncatedItemValuesLanes(tau);
-      }
-      lanes8_t[round] = t.ElapsedSeconds();
     }
   }
   const auto min_of = [](const std::vector<double>& t) {
@@ -350,23 +288,15 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
   row.speedup = median_speedup(rank_t);
   row.full_vs_reference_speedup = median_speedup(full_t);
   row.cached_speedup = median_speedup(cache_t);
-  std::vector<double> lane_ratios(rounds);
-  for (int round = 0; round < rounds; ++round) {
-    lane_ratios[round] = lanes8_t[round] > 0.0
-                             ? single8_t[round] / lanes8_t[round]
-                             : 0.0;
-  }
-  std::sort(lane_ratios.begin(), lane_ratios.end());
-  row.lanes8_speedup = lane_ratios[lane_ratios.size() / 2];
 
   std::printf(
       "%12s %8d %10lld %4s %18s %11.0f %11.0f %11.0f %11.0f %7.2fx %7.2fx "
-      "%7.2fx %7.2fx\n",
+      "%7.2fx\n",
       row.name.c_str(), row.nodes, static_cast<long long>(row.edges),
       row.cache_level, row.cached_strategy, row.reference_ns_per_iteration,
       row.kernel_full_ns_per_iteration, row.kernel_ranking_ns_per_iteration,
       row.kernel_cached_ns_per_iteration, row.full_vs_reference_speedup,
-      row.speedup, row.cached_speedup, row.lanes8_speedup);
+      row.speedup, row.cached_speedup);
   return row;
 }
 
@@ -411,11 +341,10 @@ std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
         geo.l2_bytes / 1024, geo.l3_bytes / (1024 * 1024),
         WalkKernel::BlockedPlanRowTile());
   }
-  std::printf(
-      "%12s %8s %10s %4s %18s %11s %11s %11s %11s %8s %8s %8s %8s\n",
-      "subgraph", "nodes", "edges", "fits", "steady layout", "ref ns/it",
-      "full ns/it", "rank ns/it", "cache ns/it", "full x", "rank x",
-      "cache x", "lane8 x");
+  std::printf("%12s %8s %10s %4s %18s %11s %11s %11s %11s %8s %8s %8s\n",
+              "subgraph", "nodes", "edges", "fits", "steady layout",
+              "ref ns/it", "full ns/it", "rank ns/it", "cache ns/it",
+              "full x", "rank x", "cache x");
   std::vector<KernelTimings> rows;
   for (const auto& size : sizes) {
     SubgraphOptions sub_options;
@@ -526,7 +455,7 @@ void WriteKernelJsonSection(std::FILE* f,
         "\"reference_rows_per_second\": %.0f, "
         "\"kernel_rows_per_second\": %.0f, "
         "\"full_vs_reference_speedup\": %.2f, \"speedup\": %.2f, "
-        "\"cached_speedup\": %.2f, \"lanes8_speedup\": %.2f}%s\n",
+        "\"cached_speedup\": %.2f}%s\n",
         r.name.c_str(), r.nodes, static_cast<long long>(r.edges),
         r.iterations, r.value_bytes, r.cache_level, r.layout_strategy,
         r.reordered ? "true" : "false", r.row_tile, r.cached_strategy,
@@ -534,7 +463,7 @@ void WriteKernelJsonSection(std::FILE* f,
         r.kernel_ranking_ns_per_iteration, r.kernel_cached_ns_per_iteration,
         r.reference_rows_per_second, r.kernel_rows_per_second,
         r.full_vs_reference_speedup, r.speedup, r.cached_speedup,
-        r.lanes8_speedup, i + 1 < rows.size() ? "," : "");
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }%s\n", trailing_comma ? "," : "");
 }

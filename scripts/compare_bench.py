@@ -10,10 +10,7 @@ Usage:
       side are reported but never fail the run — corpus scale and machine
       geometry legitimately change the row set. Kernel rows whose nodes or
       edges differ between the two files (a run at another corpus scale)
-      are reported as size-mismatched and not compared. A kernel row's
-      lanes8_speedup (eight single ranking sweeps vs one 8-lane sweep) is
-      printed beside its baseline value, or "absent" for baselines older
-      than the lane sweep, and never fails the run.
+      are reported as size-mismatched and not compared.
 
   compare_bench.py --assert-only CANDIDATE.json [--min-full-speedup 0.98]
       No baseline: asserts invariants that must hold on any machine at any
@@ -29,9 +26,6 @@ Usage:
           bandwidth-bound streaming the same bytes — the true ratio is
           ~1.0 (see docs/KERNELS.md) and the measured one swings 0.9-1.1
           with host phase on shared runners.
-        * every "kernel" sweep row's lanes8_speedup is printed with no
-          floor: lanes serve whole-graph batches only, and on small
-          capped subgraphs they are expected to lose.
         * every "serving" algorithm row's steady_vs_cold_speedup (warm
           cache-served pass vs the cold pass of the same run) is
           >= --min-serving-warm, gated only where the cold pass
@@ -69,8 +63,6 @@ KERNEL_SWEEP_RATES = (
     "full_vs_reference_speedup",
     "cached_speedup",
 )
-# Reported beside the rates, never gated (no floor; see the docstring).
-KERNEL_SWEEP_INFO = ("lanes8_speedup",)
 ALGORITHM_RATES = ("batch_users_per_second",)
 SERVING_RATES = ("steady_users_per_second", "steady_vs_cold_speedup")
 ENGINE_RATES = ("users_per_second",)
@@ -153,16 +145,6 @@ def compare(baseline, candidate, max_regression):
                     f" {marker} {section}/{name}.{rate}: "
                     f"{base:.4g} -> {cand:.4g} ({-regression:+.1%})"
                 )
-            if section != "kernel":
-                continue
-            for key in KERNEL_SWEEP_INFO:
-                cand = metric(cand_rows[name], key)
-                if cand is None:
-                    continue
-                base = metric(base_rows[name], key)
-                before = "absent" if base is None else f"{base:.4g}"
-                print(f"   {section}/{name}.{key}: {before} -> {cand:.4g} "
-                      f"[info, no floor]")
     return failures
 
 
@@ -229,10 +211,6 @@ def assert_invariants(candidate, min_full_speedup, min_ref_ns,
         print("  [warn] no kernel sweep rows found")
     l2_bytes = scalar(candidate, "kernel", "cache_geometry", "l2_bytes")
     for name, row in sorted(sweeps.items()):
-        for key in KERNEL_SWEEP_INFO:
-            value = metric(row, key)
-            if value is not None:
-                print(f"   kernel/{name}: {key} {value:.2f} [no floor]")
         speedup = metric(row, "full_vs_reference_speedup")
         if speedup is None:
             print(f"  [warn] kernel/{name}: no full-sweep speedup field")

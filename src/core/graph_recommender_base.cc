@@ -422,20 +422,18 @@ std::vector<UserQueryResult> GraphRecommenderBase::QueryBatch(
   ServingPool& pool =
       options.pool != nullptr ? *options.pool : ServingPool::Global();
 
-  // The user groups to walk, in user order. In whole-graph mode every
-  // distinct user adopts the same plan, so the truncated walker sweeps
-  // them kLanes at a time: one pass over the edge stream serves a whole
-  // lane group, each lane bit-identical to its own walk. Lanes run only
-  // when every worker gets a lane group; the remaining users (fewer than
-  // kLanes) and every other mode walk one user per task.
+  // The users to walk, in user order. In whole-graph mode every distinct
+  // user adopts the same plan, so once the batch fills a lane group the
+  // truncated walker sweeps all of its users kLanes at a time, the last
+  // group padded: one pass over the edge stream serves a lane group, each
+  // lane bit-identical to its own walk. A padded group costs about as much
+  // as a full one, so a batch with fewer distinct users than kLanes, like
+  // every other mode, walks one user per task.
   constexpr size_t kLanes = WalkKernel::kLanes;
   std::vector<size_t> walks(group_begin.size() - 1);
   std::iota(walks.begin(), walks.end(), 0);
-  const size_t workers = std::max<size_t>(
-      1, options.num_threads != 0 ? options.num_threads : pool.num_threads());
-  size_t lane_groups = 0;
-  if (whole_graph_ != nullptr && !options_.exact &&
-      walks.size() >= kLanes * workers) {
+  bool lanes = false;
+  if (whole_graph_ != nullptr && !options_.exact && walks.size() >= kLanes) {
     // Validate before grouping, so a failing user fails only its own
     // members and never its lane-mates.
     std::vector<NodeId> seeds;
@@ -449,39 +447,41 @@ std::vector<UserQueryResult> GraphRecommenderBase::QueryBatch(
       }
     }
     walks.resize(valid);
-    if (valid >= kLanes * workers) lane_groups = valid / kLanes;
+    lanes = valid >= kLanes;
   }
-  const size_t singles = walks.size() - lane_groups * kLanes;
 
-  // One task per lane group or single user, claimed one at a time (grain
-  // 1) so skewed subgraph sizes stay balanced, each on its thread's pinned
+  // One task per lane group or user, claimed one at a time (grain 1) so
+  // skewed subgraph sizes stay balanced, each on its thread's pinned
   // workspace: a walk runs once and serves every member of its user(s),
   // bit-identical to each member's own sequential call.
   pool.ParallelFor(
-      lane_groups + singles,
+      lanes ? (walks.size() + kLanes - 1) / kLanes : walks.size(),
       [&](size_t task) {
         WalkWorkspace& ws = LocalWorkspace();
-        if (task < lane_groups) {
-          const size_t* lanes = walks.data() + task * kLanes;
+        if (lanes) {
+          const size_t first = task * kLanes;
+          const size_t width = std::min(kLanes, walks.size() - first);
           ws.AdoptSharedSubgraph(whole_graph_->sub);
           const Subgraph& sub = ws.sub();
           size_t served = 0;
-          for (size_t l = 0; l < kLanes; ++l) {
-            AbsorbingFlags(sub, user_of(lanes[l]), &ws.lane_absorbing[l]);
-            served += group_begin[lanes[l] + 1] - group_begin[lanes[l]];
+          for (size_t l = 0; l < width; ++l) {
+            const size_t g = walks[first + l];
+            AbsorbingFlags(sub, user_of(g), &ws.lane_absorbing[l]);
+            served += group_begin[g + 1] - group_begin[g];
           }
           ws.kernel.AdoptPlan(sub.plan);
-          ws.kernel.CompileAbsorbingLanes(ws.lane_absorbing,
-                                          whole_graph_->node_costs);
+          ws.kernel.CompileAbsorbingLanes(
+              std::span(ws.lane_absorbing.data(), width),
+              whole_graph_->node_costs);
           ws.kernel.SweepTruncatedItemValuesLanes(options_.iterations);
           observe(served);
-          for (size_t l = 0; l < kLanes; ++l) {
+          for (size_t l = 0; l < width; ++l) {
             ws.kernel.LaneValues(static_cast<int>(l), &ws.values);
-            serve(lanes[l], ws);
+            serve(walks[first + l], ws);
           }
           return;
         }
-        const size_t g = walks[lane_groups * kLanes + (task - lane_groups)];
+        const size_t g = walks[task];
         const Status st = ComputeWalk(user_of(g), &ws, options.subgraph_cache);
         if (!st.ok()) {
           fail(g, st);

@@ -87,12 +87,12 @@ class GraphRecommenderBase : public Recommender {
   /// status.
   ///
   /// In whole-graph mode the truncated walkers share one plan, so when the
-  /// batch holds at least WalkKernel::kLanes × workers distinct users they
-  /// are validated first (an invalid user fails only its own members),
-  /// then swept kLanes = 8 at a time: one pass over the edge stream per
-  /// lane group, after which each lane's values serve that user's members
-  /// unchanged. The fewer than 8 users left over, smaller batches, the
-  /// capped-µ path and the exact solver walk one user per task.
+  /// batch holds at least WalkKernel::kLanes distinct users they are
+  /// validated first (an invalid user fails only its own members), then
+  /// all swept kLanes = 8 at a time, the last lane group padded: one pass
+  /// over the edge stream per lane group, after which each lane's values
+  /// serve that user's members unchanged. Smaller batches, the capped-µ
+  /// path and the exact solver walk one user per task.
   ///
   /// Results are bit-identical to the sequential per-user calls at any
   /// thread count, with or without lanes or a subgraph cache (which

@@ -70,10 +70,10 @@ struct BatchOptions {
   SubgraphCache* subgraph_cache = nullptr;
   /// Optional observer invoked once per sweep a graph recommender runs,
   /// with the number of queries that sweep served: duplicates of one user
-  /// in a batch share a walk, and a whole-graph lane group sweeps eight
-  /// distinct users at once (so up to 8 × their duplicates); failed walks
-  /// are not observed. May be called concurrently from pool workers; the
-  /// ServingEngine points this at its longtail_engine_fused_width
+  /// in a batch share a walk, and a whole-graph lane group sweeps up to
+  /// eight distinct users at once (so up to 8 × their duplicates); failed
+  /// walks are not observed. May be called concurrently from pool workers;
+  /// the ServingEngine points this at its longtail_engine_fused_width
   /// histogram. Not called by non-graph recommenders.
   const std::function<void(int32_t width)>* fused_width_observer = nullptr;
 };

@@ -70,9 +70,6 @@ size_t WalkKernel::SimplePlanMaxValueBytes() {
 
 int32_t WalkKernel::BlockedPlanRowTile() { return RowTileForL1(); }
 
-static_assert(WalkKernel::kLanes == internal::kLaneWidth,
-              "the lane row pass and the kernel must agree on the width");
-
 namespace {
 
 /// The first 64-byte-aligned double of a lane block allocated with

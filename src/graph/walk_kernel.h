@@ -70,13 +70,10 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
+#include "graph/walk_kernel_isa.h"
 #include "graph/walk_layout.h"
 
 namespace longtail {
-
-namespace internal {
-struct WalkKernelIsa;
-}  // namespace internal
 
 /// How a plan derives the contiguous transition-value array from the
 /// graph's edge weights. (Namespace-scope so WalkPlan can use it; WalkKernel
@@ -321,7 +318,7 @@ class WalkKernel {
                                 std::vector<double>* value) const;
 
   /// Queries one lane sweep advances together.
-  static constexpr int kLanes = 8;
+  static constexpr int kLanes = internal::kLaneWidth;
 
   /// Lane flavour of CompileAbsorbingSweep: compiles up to kLanes queries
   /// that share this plan and their node costs (lane l absorbs where

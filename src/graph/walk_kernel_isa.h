@@ -10,7 +10,8 @@
 // the generic build (tests/walk_kernel_test.cc pins this).
 //
 // This header is an implementation detail of src/graph/walk_kernel*;
-// nothing outside the kernel should include it.
+// walk_kernel.h includes it only for the lane width, and nothing outside
+// the kernel should use it.
 #ifndef LONGTAIL_GRAPH_WALK_KERNEL_ISA_H_
 #define LONGTAIL_GRAPH_WALK_KERNEL_ISA_H_
 
@@ -21,7 +22,7 @@
 namespace longtail {
 namespace internal {
 
-/// Queries one lane pass advances together (WalkKernel::kLanes).
+/// Queries one lane pass advances together (exported as WalkKernel::kLanes).
 inline constexpr int kLaneWidth = 8;
 
 /// One instruction-set flavour of the kernel's hot row passes. All passes

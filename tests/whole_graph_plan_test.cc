@@ -12,9 +12,9 @@
 //     QueryBatch at 1 and 8 threads, and a checkpoint-restored model.
 //  4. No cache traffic and no graph copies: a SubgraphCache passed in
 //     whole-graph mode sees zero lookups, misses and inserts.
-//  5. Lane groups: QueryBatch sweeps eight distinct users per pass and
-//     still serves every member exactly what its single-user calls give,
-//     with failures confined to their own members.
+//  5. Lane groups: QueryBatch sweeps eight distinct users per pass (the
+//     last group padded) and still serves every member exactly what its
+//     single-user calls give, with failures confined to their own members.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -351,106 +351,110 @@ UserQueryResult ServeAlone(const GraphRecommenderBase& model,
   return result;
 }
 
-// Whole-graph batches sweep eight distinct users per pass. A batch with
-// 77 distinct valid users (9 lane groups and a remainder of 5 at both 1
-// and 8 threads) plus duplicates with their own k and score lists, user
-// -1, an out-of-range user, empty queries, a score-only query and a
-// member whose candidate list holds an out-of-range item must give each
-// member exactly what its own single-user calls give. Failures stay with
-// their own members: invalid users are dropped before grouping, and the
-// bad candidate fails only its query. The observer sees one call per
-// sweep carrying its queries: one per lane group, one per remaining user.
+// Whole-graph batches sweep eight distinct users per pass. The large
+// batch has 77 distinct valid users (9 full lane groups and a padded one
+// of 5); the small one has 7, below a full lane group, so it walks one
+// user per task. Both add duplicates with their own k and score lists,
+// user -1, an out-of-range user, empty queries, score-only and top-k-only
+// queries and a member whose candidate list holds an out-of-range item.
+// At 1 and 8 threads each member must get exactly what its own single-user
+// calls give. Failures stay with their own members: invalid users are
+// dropped before grouping, and the bad candidate fails only its query. The
+// observer sees one call per sweep carrying its queries: one per lane
+// group in the large batch, one per user in the small one.
 TEST_F(WholeGraphPlanTest, LaneGroupsServeTheSameBytes) {
   static const std::vector<ItemId> kCandidates = {0, 4, 9, 17, 33, 58, 89};
   static const std::vector<ItemId> kOther = {89, 3, 41};
   static const std::vector<ItemId> kBadItem = {2, 999, 7};
-  constexpr UserId kValidUsers = 77;
-  std::vector<UserQuery> queries;
-  const auto add = [&](UserId user, int k, std::span<const ItemId> items) {
-    UserQuery q;
-    q.user = user;
-    q.top_k = k;
-    q.score_items = items;
-    queries.push_back(q);
-  };
-  // Descending, so grouping has to sort.
-  for (UserId u = kValidUsers - 1; u >= 0; --u) {
-    if (u % 5 == 0) {
-      add(u, 0, kCandidates);  // scores only
-    } else if (u % 7 == 0) {
-      add(u, 9, {});  // top-k only
-    } else {
-      add(u, 12, kCandidates);
-    }
-  }
-  add(5, 3, kOther);
-  add(5, 20, {});
-  add(40, 12, kCandidates);
-  const size_t bad_item_query = queries.size();
-  add(33, 4, kBadItem);  // fails OutOfRange; user 33's other query does not
-  add(-1, 5, {});
-  add(data_->num_users() + 3, 5, kCandidates);
-  add(100, 0, {});  // empty: no walk, OK, not a lane
-  add(12, 0, {});
-  add(-1, 0, {});
-
-  // Non-empty queries per valid user, in user order: lane groups take
-  // them eight at a time, the remainder sweeps alone.
-  std::map<UserId, int32_t> per_user;
-  int32_t served = 0;
-  for (const UserQuery& q : queries) {
-    const bool empty = q.top_k <= 0 && q.score_items.empty();
-    if (!empty && q.user >= 0 && q.user < data_->num_users()) {
-      ++per_user[q.user];
-      ++served;
-    }
-  }
-  ASSERT_EQ(per_user.size(), static_cast<size_t>(kValidUsers));
-  std::vector<int32_t> expected_widths;
-  int32_t lane_width = 0, in_lane = 0, remainder = kValidUsers % 8;
-  for (const auto& [user, count] : per_user) {
-    if (user >= kValidUsers - remainder) {
-      expected_widths.push_back(count);
-      continue;
-    }
-    lane_width += count;
-    if (++in_lane == WalkKernel::kLanes) {
-      expected_widths.push_back(lane_width);
-      lane_width = in_lane = 0;
-    }
-  }
-  std::sort(expected_widths.begin(), expected_widths.end());
-  ASSERT_EQ(expected_widths.size(), 9u + 5u);
-
-  for (const auto& walker : Walkers()) {
-    std::vector<UserQueryResult> alone;
-    for (const UserQuery& q : queries) alone.push_back(ServeAlone(*walker, q));
-    std::mutex mu;
-    std::vector<int32_t> widths;
-    const std::function<void(int32_t)> observer = [&](int32_t width) {
-      std::lock_guard<std::mutex> lock(mu);
-      widths.push_back(width);
+  for (const UserId valid_users : {77, 7}) {
+    std::vector<UserQuery> queries;
+    const auto add = [&](UserId user, int k, std::span<const ItemId> items) {
+      UserQuery q;
+      q.user = user;
+      q.top_k = k;
+      q.score_items = items;
+      queries.push_back(q);
     };
-    for (size_t threads : {1u, 8u}) {
-      BatchOptions options;
-      options.num_threads = threads;
-      options.fused_width_observer = &observer;
-      widths.clear();
-      const auto batch = walker->QueryBatch(queries, options);
-      ASSERT_EQ(batch.size(), queries.size());
-      const std::string label =
-          walker->name() + " @" + std::to_string(threads) + "t";
-      for (size_t i = 0; i < queries.size(); ++i) {
-        ExpectSameResults(alone[i], batch[i],
-                          label + " query " + std::to_string(i));
+    // Descending, so grouping has to sort.
+    for (UserId u = valid_users - 1; u >= 0; --u) {
+      if (u % 5 == 0) {
+        add(u, 0, kCandidates);  // scores only
+      } else if (u % 7 == 0) {
+        add(u, 9, {});  // top-k only
+      } else {
+        add(u, 12, kCandidates);
       }
-      EXPECT_EQ(batch[bad_item_query].status.code(),
-                StatusCode::kOutOfRange)
-          << label;
-      std::sort(widths.begin(), widths.end());
-      EXPECT_EQ(expected_widths, widths) << label;
-      EXPECT_EQ(std::accumulate(widths.begin(), widths.end(), 0), served)
-          << label;
+    }
+    add(5, 3, kOther);
+    add(5, 20, {});
+    add(3, 12, kCandidates);
+    const size_t bad_item_query = queries.size();
+    add(5, 4, kBadItem);  // fails OutOfRange; user 5's other queries do not
+    add(-1, 5, {});
+    add(data_->num_users() + 3, 5, kCandidates);
+    add(100, 0, {});  // empty: no walk, OK, not a lane
+    add(2, 0, {});
+    add(-1, 0, {});
+
+    // Non-empty queries per valid user, in user order: lane groups take
+    // them eight at a time once there are eight; below that each user
+    // sweeps alone.
+    std::map<UserId, int32_t> per_user;
+    int32_t served = 0;
+    for (const UserQuery& q : queries) {
+      const bool empty = q.top_k <= 0 && q.score_items.empty();
+      if (!empty && q.user >= 0 && q.user < data_->num_users()) {
+        ++per_user[q.user];
+        ++served;
+      }
+    }
+    ASSERT_EQ(per_user.size(), static_cast<size_t>(valid_users));
+    const bool lanes =
+        per_user.size() >= static_cast<size_t>(WalkKernel::kLanes);
+    std::vector<int32_t> expected_widths;
+    int32_t users = 0;
+    for (const auto& [user, count] : per_user) {
+      if (!lanes || users++ % WalkKernel::kLanes == 0) {
+        expected_widths.push_back(0);
+      }
+      expected_widths.back() += count;
+    }
+    std::sort(expected_widths.begin(), expected_widths.end());
+    ASSERT_EQ(expected_widths.size(), lanes ? 9u + 1u : 7u);
+
+    for (const auto& walker : Walkers()) {
+      std::vector<UserQueryResult> alone;
+      for (const UserQuery& q : queries) {
+        alone.push_back(ServeAlone(*walker, q));
+      }
+      std::mutex mu;
+      std::vector<int32_t> widths;
+      const std::function<void(int32_t)> observer = [&](int32_t width) {
+        std::lock_guard<std::mutex> lock(mu);
+        widths.push_back(width);
+      };
+      for (size_t threads : {1u, 8u}) {
+        BatchOptions options;
+        options.num_threads = threads;
+        options.fused_width_observer = &observer;
+        widths.clear();
+        const auto batch = walker->QueryBatch(queries, options);
+        ASSERT_EQ(batch.size(), queries.size());
+        const std::string label = walker->name() + " " +
+                                  std::to_string(valid_users) + " users @" +
+                                  std::to_string(threads) + "t";
+        for (size_t i = 0; i < queries.size(); ++i) {
+          ExpectSameResults(alone[i], batch[i],
+                            label + " query " + std::to_string(i));
+        }
+        EXPECT_EQ(batch[bad_item_query].status.code(),
+                  StatusCode::kOutOfRange)
+            << label;
+        std::sort(widths.begin(), widths.end());
+        EXPECT_EQ(expected_widths, widths) << label;
+        EXPECT_EQ(std::accumulate(widths.begin(), widths.end(), 0), served)
+            << label;
+      }
     }
   }
 }
