@@ -356,10 +356,8 @@ void WriteJson(const LoadFlags& flags, const Dataset& d,
   std::fprintf(
       f,
       "  \"engine\": {\"max_batch_size\": %zu, \"max_queue_depth\": %zu, "
-      "\"flush_interval_ticks\": %llu, \"batch_threads\": %zu, "
-      "\"query_retry_budget\": %llu},\n",
+      "\"batch_threads\": %zu, \"query_retry_budget\": %llu},\n",
       engine_options.max_batch_size, engine_options.max_queue_depth,
-      static_cast<unsigned long long>(engine_options.flush_interval_ticks),
       engine_options.batch_threads,
       static_cast<unsigned long long>(engine_options.query_retry_budget));
   std::fprintf(f, "  \"closed_loop\": {\n    \"ladder\": [\n");
@@ -466,7 +464,6 @@ void Run(const LoadFlags& flags) {
   ServingEngineOptions engine_options;
   engine_options.max_batch_size = static_cast<size_t>(flags.max_batch);
   engine_options.max_queue_depth = static_cast<size_t>(flags.queue_depth);
-  engine_options.flush_interval_ticks = 1;
   engine_options.batch_threads =
       flags.threads > 0 ? static_cast<size_t>(flags.threads) : 0;
   engine_options.subgraph_cache = &cache;

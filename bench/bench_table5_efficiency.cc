@@ -70,7 +70,6 @@ double TimeBatch(const Recommender& rec, const std::vector<UserId>& users,
 /// identical cold queries, and admission-control rejection under a flood.
 struct EngineBench {
   size_t max_batch_size = 0;
-  uint64_t flush_interval_ticks = 0;
   size_t threads = 0;
   /// name → seconds/user served through the engine (queue + batch + walk).
   std::vector<std::pair<std::string, double>> traffic;
@@ -557,10 +556,8 @@ void WriteJson(const char* path, const Dataset& d,
   // coalescing, and fail-fast rejection under flood.
   std::fprintf(f,
                "  \"engine\": {\n    \"max_batch_size\": %zu, "
-               "\"flush_interval_ticks\": %llu, \"threads\": %zu,\n",
-               engine.max_batch_size,
-               static_cast<unsigned long long>(engine.flush_interval_ticks),
-               engine.threads);
+               "\"threads\": %zu,\n",
+               engine.max_batch_size, engine.threads);
   std::fprintf(f, "    \"traffic\": [\n");
   for (size_t i = 0; i < engine.traffic.size(); ++i) {
     const auto& [name, spu] = engine.traffic[i];
@@ -825,19 +822,14 @@ void Run(const bench::BenchFlags& flags) {
   // future hand-off.
   EngineBench eb;
   eb.max_batch_size = 32;
-  eb.flush_interval_ticks = 1;
   eb.threads = batch_threads;
-  std::printf(
-      "\n# serving engine (max_batch %zu, flush %llu tick, %zu hot users)\n\n",
-      eb.max_batch_size,
-      static_cast<unsigned long long>(eb.flush_interval_ticks),
-      hot_users.size());
+  std::printf("\n# serving engine (max_batch %zu, %zu hot users)\n\n",
+              eb.max_batch_size, hot_users.size());
   std::printf("%16s %18s %14s\n", "algorithm", "s/user via engine",
               "users/sec");
   {
     ServingEngineOptions engine_options;
     engine_options.max_batch_size = eb.max_batch_size;
-    engine_options.flush_interval_ticks = eb.flush_interval_ticks;
     engine_options.batch_threads = batch_threads;
     engine_options.subgraph_cache = &cache;
     ServingEngine engine(engine_options);

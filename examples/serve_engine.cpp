@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
   SubgraphCache cache;  // shared, single-flight coalescing
   ServingEngineOptions options;
   options.max_batch_size = 16;
-  options.flush_interval_ticks = 1;  // 1 ms batching window
   options.max_queue_depth = 512;
   options.subgraph_cache = &cache;
   ServingEngine engine(options);  // background dispatcher on

@@ -25,24 +25,17 @@ Status RequestQueue::Enqueue(const ServeRequest& request, uint64_t now_tick,
   PendingRequest pending;
   pending.request = request;
   pending.enqueue_tick = now_tick;
+  pending.enqueue_time = std::chrono::steady_clock::now();
   *out = pending.promise.get_future();
   pending_.push_back(std::move(pending));
   AtomicFetchMax(peak_depth_, pending_.size());
   return Status::OK();
 }
 
-std::vector<PendingRequest> RequestQueue::TakeBatch(size_t max_batch,
-                                                    uint64_t now_tick,
-                                                    uint64_t flush_after_ticks,
-                                                    bool force) {
+std::vector<PendingRequest> RequestQueue::TakeBatch(size_t max_batch) {
   max_batch = std::max<size_t>(1, max_batch);
   std::vector<PendingRequest> batch;
   std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.empty()) return batch;
-  const bool full = pending_.size() >= max_batch;
-  const bool aged =
-      now_tick >= pending_.front().enqueue_tick + flush_after_ticks;
-  if (!full && !aged && !force) return batch;
   const size_t take = std::min(pending_.size(), max_batch);
   batch.reserve(take);
   for (size_t i = 0; i < take; ++i) {
@@ -67,13 +60,6 @@ std::vector<PendingRequest> RequestQueue::CloseAndDrain() {
 size_t RequestQueue::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_.size();
-}
-
-std::optional<uint64_t> RequestQueue::NextFlushTick(
-    uint64_t flush_after_ticks) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.empty()) return std::nullopt;
-  return pending_.front().enqueue_tick + flush_after_ticks;
 }
 
 }  // namespace longtail

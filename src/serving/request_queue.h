@@ -1,18 +1,21 @@
-// Admission-controlled request queue + the tick clock it batches against:
-// the waiting room of the ServingEngine (serving/serving_engine.h).
+// Admission-controlled request queue + the tick clock the engine stamps
+// deadlines against: the waiting room of the ServingEngine
+// (serving/serving_engine.h).
 //
 // One RequestQueue holds the pending requests of one registered model.
 // Admission is bounded — Enqueue fails fast with a typed
 // Status::ResourceExhausted once `max_depth` requests wait, instead of
 // queueing unboundedly — and batch formation is explicit: TakeBatch hands
-// back up to `max_batch` requests when the batch is *ready* (full, aged
-// past the flush interval, or forced), leaving the rest queued.
+// back the oldest `max_batch` requests (or everything, when fewer wait),
+// leaving the rest queued. The queue never holds a request back to let a
+// batch fill: a free dispatcher takes what is there.
 //
-// Time is abstract "ticks" read from an EngineClock so micro-batching
-// policy is testable deterministically: production uses SteadyTickClock
+// Time is abstract "ticks" read from an EngineClock so deadline handling
+// is testable deterministically: production uses SteadyTickClock
 // (1 tick = 1 ms of steady_clock); tests inject a FakeClock and advance it
-// by hand (no sleeps, no flaky timing). Deadlines and queue-latency stats
-// are all expressed in ticks of whichever clock the engine was given.
+// by hand (no sleeps, no flaky timing). Deadlines and the tick queue-wait
+// stats are in ticks of whichever clock the engine was given; Enqueue also
+// stamps steady_clock so the engine can report sub-tick queue waits.
 #ifndef LONGTAIL_SERVING_REQUEST_QUEUE_H_
 #define LONGTAIL_SERVING_REQUEST_QUEUE_H_
 
@@ -22,7 +25,6 @@
 #include <deque>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -93,6 +95,8 @@ struct ServeRequest {
 struct PendingRequest {
   ServeRequest request;
   uint64_t enqueue_tick = 0;
+  /// steady_clock at admission, for the sub-tick queue-wait histogram.
+  std::chrono::steady_clock::time_point enqueue_time;
   std::promise<UserQueryResult> promise;
 };
 
@@ -106,22 +110,17 @@ class RequestQueue {
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
-  /// Admits `request`, recording `now_tick` for age/latency accounting,
-  /// and hands the matching future to `*out`. Fails fast with
+  /// Admits `request`, recording `now_tick` and steady_clock for latency
+  /// accounting, and hands the matching future to `*out`. Fails fast with
   /// ResourceExhausted when `max_depth` requests already wait and with
   /// FailedPrecondition after Close() — in both cases nothing is queued
   /// and `*out` is untouched.
   Status Enqueue(const ServeRequest& request, uint64_t now_tick,
                  std::future<UserQueryResult>* out);
 
-  /// Takes the next batch when one is ready, oldest first:
-  ///  * `depth >= max_batch`  → a full batch of exactly `max_batch`;
-  ///  * else, when forced or the oldest pending request has waited at
-  ///    least `flush_after_ticks` → everything queued (<= max_batch);
-  ///  * otherwise → empty (the batch keeps filling).
-  std::vector<PendingRequest> TakeBatch(size_t max_batch, uint64_t now_tick,
-                                        uint64_t flush_after_ticks,
-                                        bool force);
+  /// Takes the oldest min(depth, max_batch) requests; empty when nothing
+  /// is queued.
+  std::vector<PendingRequest> TakeBatch(size_t max_batch);
 
   /// Rejects all future Enqueues (shutdown) and returns everything still
   /// queued so the caller can fail the promises.
@@ -135,11 +134,6 @@ class RequestQueue {
   size_t peak_depth() const {
     return static_cast<size_t>(peak_depth_.load(std::memory_order_relaxed));
   }
-
-  /// The tick at which the currently-oldest request becomes flushable
-  /// (enqueue + flush_after); nullopt when empty. Lets a dispatcher sleep
-  /// precisely instead of polling blind.
-  std::optional<uint64_t> NextFlushTick(uint64_t flush_after_ticks) const;
 
  private:
   const size_t max_depth_;

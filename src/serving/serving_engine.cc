@@ -161,6 +161,13 @@ void ServingEngine::RegisterEngineMetrics() {
       "longtail_engine_queue_wait_ticks",
       "Per-request queue wait at dispatch, in ticks.",
       std::move(wait_bounds));
+  // The same waits on steady_clock: with a work-conserving dispatcher
+  // nearly every wait is 0 ticks, so only sub-millisecond buckets show
+  // where queueing time goes (10 us .. ~1.3 s).
+  queue_wait_seconds_hist_ = metrics_->RegisterHistogram(
+      "longtail_engine_queue_wait_seconds",
+      "Per-request queue wait at dispatch, in seconds of steady_clock.",
+      ExponentialBuckets(1e-5, 2.0, 18));
   // Sweep sharing: queries served per sweep (1, 2, 4, ..., 32), observed
   // after QueryBatch groups a micro-batch by user (and, in whole-graph
   // mode, distinct users into lane groups), so /metrics shows how often
@@ -345,7 +352,7 @@ std::vector<UserQueryResult> ServingEngine::QueryAll(
           results[i] = std::move(ready);
           break;
         }
-        if (!dispatcher_running()) Pump(/*force=*/true);
+        if (!dispatcher_running()) Pump();
         if (!inflight.empty()) {
           settle_front();
         } else if (dispatcher_running()) {
@@ -374,10 +381,10 @@ void ServingEngine::BackoffOneTick() {
   }
 }
 
-size_t ServingEngine::Pump(bool force) {
+size_t ServingEngine::Pump() {
   size_t taken = 0;
   for (ModelEntry* entry : SnapshotEntries()) {
-    taken += PumpEntry(entry, force);
+    taken += PumpEntry(entry);
   }
   return taken;
 }
@@ -385,19 +392,18 @@ size_t ServingEngine::Pump(bool force) {
 size_t ServingEngine::PumpUntilIdle() {
   size_t taken = 0;
   while (true) {
-    const size_t round = Pump(/*force=*/true);
+    const size_t round = Pump();
     if (round == 0) break;
     taken += round;
   }
   return taken;
 }
 
-size_t ServingEngine::PumpEntry(ModelEntry* entry, bool force) {
+size_t ServingEngine::PumpEntry(ModelEntry* entry) {
   size_t taken = 0;
   while (true) {
     std::vector<PendingRequest> batch =
-        entry->queue.TakeBatch(options_.max_batch_size, clock_->NowTicks(),
-                               options_.flush_interval_ticks, force);
+        entry->queue.TakeBatch(options_.max_batch_size);
     if (batch.empty()) break;
     queued_.fetch_sub(batch.size(), std::memory_order_relaxed);
     taken += batch.size();
@@ -416,6 +422,7 @@ void ServingEngine::RecordBatchSize(size_t size) {
 void ServingEngine::ExecuteBatch(ModelEntry* entry,
                                  std::vector<PendingRequest> batch) {
   const uint64_t now = clock_->NowTicks();
+  const auto now_time = std::chrono::steady_clock::now();
   std::vector<UserQuery> queries;
   std::vector<size_t> live;  // indexes into `batch`, aligned with queries
   queries.reserve(batch.size());
@@ -441,6 +448,8 @@ void ServingEngine::ExecuteBatch(ModelEntry* entry,
     // see metrics_registry_test's hammer).
     AtomicFetchMax(queue_ticks_max_, waited);
     queue_wait_hist_->Observe(static_cast<double>(waited));
+    queue_wait_seconds_hist_->Observe(
+        std::chrono::duration<double>(now_time - p.enqueue_time).count());
     UserQuery q;
     q.user = p.request.user;
     q.top_k = p.request.top_k;
@@ -483,15 +492,15 @@ void ServingEngine::DispatcherLoop() {
       });
       continue;
     }
+    // Work-conserving: take whatever is queued. Requests that arrive
+    // while a batch runs form the next batch.
     lock.unlock();
-    const size_t dispatched = Pump(/*force=*/false);
-    lock.lock();
-    if (dispatched == 0) {
-      // Requests are queued but no batch is ready (filling toward
-      // max_batch_size, younger than the flush interval): poll at tick
-      // granularity — 1 tick = 1 ms on the default clock.
-      dispatch_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    if (Pump() == 0) {
+      // queued_ counts a request just before Submit enqueues it; let that
+      // Submit finish instead of spinning on its lock.
+      std::this_thread::yield();
     }
+    lock.lock();
   }
 }
 

@@ -11,13 +11,15 @@
 //    against a registered model — future-based async (Submit) or blocking
 //    sync (Query/QueryAll, which applies backpressure instead of
 //    overflowing the queue).
-//  * A micro-batcher groups pending requests per model into
+//  * A work-conserving dispatcher groups pending requests per model into
 //    admission-controlled batches: a queue at max_queue_depth rejects new
-//    requests fast with Status::ResourceExhausted; a batch dispatches when
-//    it reaches max_batch_size or when its oldest request has waited
-//    flush_interval_ticks. Time is abstract ticks from an injectable
-//    EngineClock (request_queue.h), so tests drive the policy with a
-//    FakeClock and manual Pump() — no sleeps, fully deterministic.
+//    requests fast with Status::ResourceExhausted; whenever the dispatcher
+//    is free it takes what is queued, up to max_batch_size. Batches form
+//    while the previous one runs (ExecuteBatch is synchronous on the
+//    dispatcher), so an idle engine never holds a request back to wait
+//    for company. Deadlines are abstract ticks from an injectable
+//    EngineClock (request_queue.h), so tests drive them with a FakeClock
+//    and manual Pump() — no sleeps, fully deterministic.
 //  * Requests carry optional deadlines; an over-deadline request fails
 //    with Status::DeadlineExceeded (at submit or at dispatch) and never
 //    occupies walk workers.
@@ -33,11 +35,11 @@
 // server goes disk → serving without ever fitting.
 //
 // Threading: Submit/Query/QueryAll/Pump/Stats are thread-safe. With
-// start_dispatcher (default) a background thread flushes ready batches;
-// with it off the embedder pumps explicitly (deterministic tests, or
-// callers that want batching without an extra thread). Destruction stops
-// the dispatcher and fails every still-queued request with a typed
-// Status — it never blocks on unserved traffic.
+// start_dispatcher (default) a background thread dispatches queued
+// requests; with it off the embedder pumps explicitly (deterministic
+// tests, or callers that want batching without an extra thread).
+// Destruction stops the dispatcher and fails every still-queued request
+// with a typed Status — it never blocks on unserved traffic.
 #ifndef LONGTAIL_SERVING_SERVING_ENGINE_H_
 #define LONGTAIL_SERVING_SERVING_ENGINE_H_
 
@@ -62,13 +64,14 @@
 namespace longtail {
 
 struct ServingEngineOptions {
-  /// A model's batch dispatches as soon as this many requests wait.
+  /// Most requests one dispatched batch takes off a model's queue.
   size_t max_batch_size = 64;
   /// Admission control: per-model queue depth beyond which Submit fails
   /// fast with ResourceExhausted instead of queueing unboundedly.
   size_t max_queue_depth = 1024;
-  /// A non-full batch dispatches once its oldest request has waited this
-  /// many ticks (latency bound of micro-batching; 0 = every pump).
+  /// Ignored: the dispatcher is work-conserving and never holds a request
+  /// back. Kept only until perfbench/, which still assigns it, drops that
+  /// assignment; then the field goes.
   uint64_t flush_interval_ticks = 1;
   /// Worker threads per executed batch (BatchOptions::num_threads):
   /// 0 = hardware concurrency, 1 = the dispatching thread only.
@@ -201,12 +204,12 @@ class ServingEngine {
   std::vector<UserQueryResult> QueryAll(
       const std::string& model, std::span<const ServeRequest> requests);
 
-  /// Dispatches every model's ready batches at the current tick (force =
-  /// ignore readiness and flush everything queued). Returns the number of
-  /// requests taken off queues (executed + expired). Thread-safe; the
-  /// embedder's pump and the dispatcher may interleave.
-  size_t Pump(bool force = false);
-  /// Force-pumps until every queue is empty; returns requests dispatched.
+  /// Dispatches everything queued on every model, in batches of at most
+  /// max_batch_size. Returns the number of requests taken off queues
+  /// (executed + expired). Thread-safe; the embedder's pump and the
+  /// dispatcher may interleave.
+  size_t Pump();
+  /// Pumps until a round finds every queue empty; returns requests taken.
   size_t PumpUntilIdle();
 
   bool dispatcher_running() const { return dispatcher_.joinable(); }
@@ -248,8 +251,9 @@ class ServingEngine {
   ModelEntry* FindEntry(const std::string& name) const;
   /// Immediately-ready future carrying a rejection.
   static std::future<UserQueryResult> RejectedFuture(Status status);
-  /// Takes ready batches off one entry; returns requests taken.
-  size_t PumpEntry(ModelEntry* entry, bool force);
+  /// Takes batches off one entry until it is empty; returns requests
+  /// taken.
+  size_t PumpEntry(ModelEntry* entry);
   /// Runs one batch through the model, failing expired requests and
   /// fulfilling the rest.
   void ExecuteBatch(ModelEntry* entry, std::vector<PendingRequest> batch);
@@ -273,6 +277,8 @@ class ServingEngine {
   /// Owned by the registry; observed on the dispatch path.
   Histogram* batch_size_hist_ = nullptr;
   Histogram* queue_wait_hist_ = nullptr;
+  /// Queue wait in steady_clock seconds (sub-tick resolution).
+  Histogram* queue_wait_seconds_hist_ = nullptr;
   /// Queries served per sweep (longtail_engine_fused_width):
   /// batch_size_hist_ counts requests per micro-batch, this counts the
   /// queries each sweep served after QueryBatch groups them by user (and

@@ -253,7 +253,6 @@ TEST(ServingEngineBackpressureTest, QueryRetryBudgetSurfacesRejection) {
   options.clock = &clock;
   options.max_batch_size = 1;
   options.max_queue_depth = 1;
-  options.flush_interval_ticks = 0;
   options.batch_threads = 1;
   options.query_retry_budget = 4;
   ServingEngine engine(options);
@@ -320,7 +319,6 @@ TEST(ServingEngineBackpressureTest, ZeroBudgetRetriesUntilServed) {
   options.clock = &clock;
   options.max_batch_size = 1;
   options.max_queue_depth = 1;
-  options.flush_interval_ticks = 0;
   options.batch_threads = 1;
   options.query_retry_budget = 0;
   ServingEngine engine(options);
@@ -420,7 +418,6 @@ TEST(ServingEngineMetricsTest, LiveExpositionParsesAndTracksQueues) {
   options.clock = &clock;
   options.start_dispatcher = false;
   options.max_batch_size = 4;
-  options.flush_interval_ticks = 10;
   options.batch_threads = 1;
   ServingEngine engine(options);
   ASSERT_TRUE(engine.AddModel(&model).ok());
@@ -440,7 +437,7 @@ TEST(ServingEngineMetricsTest, LiveExpositionParsesAndTracksQueues) {
   for (int i = 0; i < 3; ++i) {
     futures.push_back(engine.Submit("null", request));
   }
-  // Queue holds 3 (below max_batch_size, below flush age).
+  // Queue holds 3 (nothing has pumped yet).
   {
     const std::string text = engine.metrics()->ExportText();
     EXPECT_NE(text.find("longtail_engine_queue_depth{model=\"null\"} 3\n"),
@@ -488,6 +485,55 @@ TEST(ServingEngineMetricsTest, LiveExpositionParsesAndTracksQueues) {
   EXPECT_NE(text.find("longtail_pool_parallel_for_total 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("longtail_pool_threads 2\n"), std::string::npos);
+}
+
+// Queue wait on steady_clock: every dispatched request is observed once
+// into longtail_engine_queue_wait_seconds (sub-tick buckets from 10 us),
+// and a request that expires in the queue is not — so the series count
+// equals EngineStats::dispatched, also on a clock that never moves.
+TEST(ServingEngineMetricsTest, QueueWaitSecondsCountsEveryDispatch) {
+  const Dataset data = MakeTinyDataset();
+  NullRecommender model;
+  ASSERT_TRUE(model.Fit(data).ok());
+
+  FakeClock clock(10);
+  ServingEngineOptions options;
+  options.clock = &clock;
+  options.start_dispatcher = false;
+  options.max_batch_size = 3;
+  options.batch_threads = 1;
+  ServingEngine engine(options);
+  ASSERT_TRUE(engine.AddModel(&model).ok());
+
+  ServeRequest request;
+  request.user = 1;
+  request.top_k = 3;
+  std::vector<std::future<UserQueryResult>> futures;
+  for (int i = 0; i < 7; ++i) {
+    futures.push_back(engine.Submit("null", request));
+  }
+  ServeRequest doomed = request;
+  doomed.deadline_tick = 11;
+  std::future<UserQueryResult> expired = engine.Submit("null", doomed);
+  clock.Advance(5);  // past the doomed deadline; the rest have none
+  engine.PumpUntilIdle();
+  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+  EXPECT_EQ(expired.get().status.code(), StatusCode::kDeadlineExceeded);
+
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.dispatched, 7u);
+  EXPECT_EQ(stats.expired_in_queue, 1u);
+  const std::string text = engine.metrics()->ExportText();
+  std::string error;
+  EXPECT_TRUE(CheckPrometheusText(text, &error)) << error << "\n" << text;
+  EXPECT_NE(text.find("longtail_engine_queue_wait_seconds_count " +
+                      std::to_string(stats.dispatched) + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("longtail_engine_queue_wait_seconds_bucket{le=\"1e-05\"}"),
+      std::string::npos)
+      << text;
 }
 
 // Engines default to a private registry, so two engines in one process

@@ -7,9 +7,9 @@
 //  2. Single flight — N identical concurrent cold queries perform exactly
 //     one subgraph extraction.
 //  3. Admission control — queue-full and over-deadline requests fail fast
-//     with typed Statuses (ResourceExhausted / DeadlineExceeded); the
-//     micro-batch flush policy (full batch now, partial batch after the
-//     flush interval) is exercised deterministically on a FakeClock.
+//     with typed Statuses (ResourceExhausted / DeadlineExceeded); a free
+//     dispatcher takes what is queued (up to max_batch_size) at once, both
+//     under manual Pump() and on the background thread, on a FakeClock.
 //  4. Lifecycle — destruction with requests still queued resolves every
 //     future (typed failure), never hangs, and is clean under ASan.
 #include "serving/serving_engine.h"
@@ -144,7 +144,6 @@ TEST_F(ServingEngineTest, EngineResultsBitIdenticalToDirectQueryBatch) {
       FakeClock clock;
       ServingEngineOptions options;
       options.max_batch_size = 7;
-      options.flush_interval_ticks = 1;
       options.batch_threads = threads;
       options.subgraph_cache = &cache;
       options.clock = &clock;
@@ -155,7 +154,6 @@ TEST_F(ServingEngineTest, EngineResultsBitIdenticalToDirectQueryBatch) {
       for (const ServeRequest& r : requests) {
         futures.push_back(engine.Submit(rec->name(), r));
       }
-      clock.Advance(1);
       engine.PumpUntilIdle();
       const std::string label =
           rec->name() + " @" + std::to_string(threads) + "t";
@@ -218,8 +216,7 @@ TEST_F(ServingEngineTest, DeadlinesFailFastWithTypedStatus) {
   auto at = FittedAt();
   FakeClock clock;
   ServingEngineOptions options;
-  options.max_batch_size = 64;  // nothing flushes on size
-  options.flush_interval_ticks = 5;
+  options.max_batch_size = 64;
   options.clock = &clock;
   options.start_dispatcher = false;
   ServingEngine engine(options);
@@ -235,14 +232,14 @@ TEST_F(ServingEngineTest, DeadlinesFailFastWithTypedStatus) {
   ASSERT_EQ(f1.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(f1.get().status.code(), StatusCode::kDeadlineExceeded);
 
-  // Expires while queued: admitted at tick 10 (deadline 12), dispatched at
-  // tick 20 — past deadline, fails without running.
+  // Expires while queued: admitted at tick 10 (deadline 12), the clock
+  // passes the deadline before anything pumps, so the dispatch at tick 20
+  // fails it without running.
   ServeRequest queued;
   queued.user = 2;
   queued.top_k = 5;
   queued.deadline_tick = 12;
   auto f2 = engine.Submit(at->name(), queued);
-  EXPECT_EQ(engine.Pump(), 0u);  // tick 10: younger than the flush interval
   clock.Set(20);
   EXPECT_EQ(engine.Pump(), 1u);
   EXPECT_EQ(f2.get().status.code(), StatusCode::kDeadlineExceeded);
@@ -270,7 +267,6 @@ TEST_F(ServingEngineTest, QueueFullRejectsFastWithResourceExhausted) {
   ServingEngineOptions options;
   options.max_queue_depth = 2;
   options.max_batch_size = 64;
-  options.flush_interval_ticks = 1000;  // nothing flushes by age here
   options.start_dispatcher = false;
   ServingEngine engine(options);
   ASSERT_TRUE(engine.AddModel(at.get()).ok());
@@ -288,15 +284,15 @@ TEST_F(ServingEngineTest, QueueFullRejectsFastWithResourceExhausted) {
   EXPECT_TRUE(f2.get().status.ok());
 }
 
-// Micro-batch flush policy on a FakeClock: a lone request waits out the
-// flush interval; a full batch dispatches at once; the batch-size
-// histogram and queue-latency stats record it all.
-TEST_F(ServingEngineTest, FlushPolicyIsDeterministicOnFakeClock) {
+// A free dispatcher takes what is queued, on a FakeClock that never moves:
+// a lone request dispatches at the tick it arrived; three queued requests
+// with max_batch_size 2 dispatch as 2 then 1. The batch-size histogram and
+// queue-latency stats record it all.
+TEST_F(ServingEngineTest, PumpTakesWhatIsQueued) {
   auto at = FittedAt();
-  FakeClock clock;
+  FakeClock clock(7);
   ServingEngineOptions options;
   options.max_batch_size = 2;
-  options.flush_interval_ticks = 10;
   options.clock = &clock;
   options.start_dispatcher = false;
   ServingEngine engine(options);
@@ -305,29 +301,52 @@ TEST_F(ServingEngineTest, FlushPolicyIsDeterministicOnFakeClock) {
   r.user = 1;
   r.top_k = 5;
 
-  // One request: not full, not aged — the batch keeps filling.
+  // One request: dispatched by the first pump, same tick.
   auto f1 = engine.Submit(at->name(), r);
-  EXPECT_EQ(engine.Pump(), 0u);
-  clock.Advance(9);
-  EXPECT_EQ(engine.Pump(), 0u);  // tick 9 < flush interval 10
-  clock.Advance(1);
-  EXPECT_EQ(engine.Pump(), 1u);  // aged out: partial batch of 1
+  ASSERT_EQ(engine.Pump(), 1u);
   EXPECT_TRUE(f1.get().status.ok());
+  EXPECT_EQ(engine.Pump(), 0u);  // nothing left
 
-  // Two requests: reaches max_batch_size, dispatches with no wait.
+  // Three requests: one pump takes a full batch of 2, then the last 1.
   auto f2 = engine.Submit(at->name(), r);
   auto f3 = engine.Submit(at->name(), r);
-  EXPECT_EQ(engine.Pump(), 2u);
+  auto f4 = engine.Submit(at->name(), r);
+  ASSERT_EQ(engine.Pump(), 3u);
   EXPECT_TRUE(f2.get().status.ok());
   EXPECT_TRUE(f3.get().status.ok());
+  EXPECT_TRUE(f4.get().status.ok());
 
   const EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.batches_executed, 2u);
+  EXPECT_EQ(stats.batches_executed, 3u);
   ASSERT_FALSE(stats.batch_size_pow2.empty());
-  EXPECT_EQ(stats.batch_size_pow2[0], 1u);  // the size-1 flush
-  EXPECT_EQ(stats.batch_size_pow2[1], 1u);  // the size-2 flush
-  EXPECT_EQ(stats.dispatched, 3u);
-  EXPECT_EQ(stats.queue_ticks_max, 10u);  // f1 waited the whole interval
+  EXPECT_EQ(stats.batch_size_pow2[0], 2u);  // the two size-1 batches
+  EXPECT_EQ(stats.batch_size_pow2[1], 1u);  // the size-2 batch
+  EXPECT_EQ(stats.dispatched, 4u);
+  EXPECT_EQ(stats.queue_ticks_max, 0u);  // nobody waited for company
+}
+
+// The background dispatcher is work-conserving: on a clock that never
+// advances, a lone submitted request is still served, with zero ticks of
+// queue wait. A dispatcher that waits for a request to age (or for the
+// batch to fill) leaves this future unresolved until the engine dies.
+TEST_F(ServingEngineTest, DispatcherServesLoneRequestOnFrozenClock) {
+  auto at = FittedAt();
+  FakeClock clock(3);
+  ServingEngineOptions options;
+  options.max_batch_size = 64;
+  options.clock = &clock;
+  ServingEngine engine(options);  // dispatcher on
+  ASSERT_TRUE(engine.AddModel(at.get()).ok());
+  ServeRequest r;
+  r.user = 2;
+  r.top_k = 5;
+  std::future<UserQueryResult> f = engine.Submit(at->name(), r);
+  ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "a lone request was held back by an idle dispatcher";
+  EXPECT_TRUE(f.get().status.ok());
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.dispatched, 1u);
+  EXPECT_EQ(stats.queue_ticks_max, 0u);
 }
 
 TEST_F(ServingEngineTest, RegistrationGuards) {
@@ -356,7 +375,6 @@ TEST_F(ServingEngineTest, DispatcherServesBlockingQueries) {
   SubgraphCache cache;
   ServingEngineOptions options;
   options.max_batch_size = 4;
-  options.flush_interval_ticks = 1;
   options.subgraph_cache = &cache;
   ServingEngine engine(options);  // dispatcher on, steady clock
   ASSERT_TRUE(engine.AddModel(at.get()).ok());
@@ -431,7 +449,6 @@ TEST_F(ServingEngineTest, DestructionWithInflightRequestsHammer) {
       ServingEngineOptions options;
       options.max_batch_size = 4;
       options.max_queue_depth = 64;
-      options.flush_interval_ticks = 1;
       options.subgraph_cache = &cache;
       ServingEngine engine(options);  // dispatcher on
       ASSERT_TRUE(engine.AddModel(at.get()).ok());
